@@ -8,8 +8,8 @@
 //! small sizes; the chain runs comfortably at n = 2000.
 
 use cluster::{
-    agglomerate_matrix, agglomerate_naive, matrix_from_prior, usage_dist, usage_distance_matrix,
-    DistanceMatrix, Linkage,
+    agglomerate_matrix, agglomerate_naive, usage_dist, usage_distance_matrix, DistanceMatrix,
+    Linkage,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -100,63 +100,11 @@ fn bench_nn_chain_large(c: &mut Criterion) {
     group.finish();
 }
 
-/// Warm re-cluster scaling: with a fixed number of NEW changes grown
-/// onto the corpus, the warm matrix build should cost O(NEW · n)
-/// `usage_dist` calls (the new rows), not O(n²) — so doubling n should
-/// roughly double warm time, while the cold contrast at the same n
-/// pays the full quadratic bill. The prior is the cold matrix with the
-/// new rows blanked to `NaN`, exactly what the persisted cell log
-/// reconstructs on a warm run.
-fn bench_warm_recluster(c: &mut Criterion) {
-    let mut group = c.benchmark_group("warm_recluster");
-    group.sample_size(10);
-    const NEW: usize = 20;
-    for n in [500usize, 2000] {
-        let changes = synthetic_changes(n);
-        let base = n - NEW;
-        let cold = DistanceMatrix::from_fn(n, |i, j| usage_dist(&changes[i], &changes[j]));
-        let mut prior = Vec::with_capacity(n * (n - 1) / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                prior.push(if j < base { cold.get(i, j) } else { f64::NAN });
-            }
-        }
-        group.bench_with_input(BenchmarkId::new("warm", n), &prior, |b, prior| {
-            b.iter(|| {
-                matrix_from_prior(n, black_box(prior), None, |i, j| {
-                    usage_dist(&changes[i], &changes[j])
-                })
-                .expect("within budget")
-                .computed
-                .len()
-            });
-        });
-        // The cold contrast pays quadratic usage_dist cost, so keep it
-        // to the small size (the 2000-cold point is the distance_matrix
-        // story, not this one).
-        if n == 500 {
-            group.bench_with_input(BenchmarkId::new("cold", n), &changes, |b, changes| {
-                b.iter(|| {
-                    let all_nan = vec![f64::NAN; n * (n - 1) / 2];
-                    matrix_from_prior(n, black_box(&all_nan), None, |i, j| {
-                        usage_dist(&changes[i], &changes[j])
-                    })
-                    .expect("within budget")
-                    .computed
-                    .len()
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_usage_dist,
     bench_matrix_build,
     bench_agglomerate,
-    bench_nn_chain_large,
-    bench_warm_recluster
+    bench_nn_chain_large
 );
 criterion_main!(benches);

@@ -60,6 +60,5 @@ pub mod wire;
 
 pub use fingerprint::{fingerprint, fingerprint_str, Fingerprint};
 pub use store::{
-    verify, verify_ns, CacheStats, CacheStore, Lookup, ShardLog, StoreError, VacuumReport,
-    VerifyReport,
+    verify, CacheStats, CacheStore, Lookup, ShardLog, StoreError, VacuumReport, VerifyReport,
 };

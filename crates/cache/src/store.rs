@@ -33,24 +33,8 @@ use std::path::{Path, PathBuf};
 /// bump only on layout change).
 const MAGIC: &[u8] = b"DIFFCACHE1\n";
 
-/// The default namespace: `<dir>/cache.log`, the mining cache's home.
-const DEFAULT_NS: &str = "cache";
-
-/// The log file name for `namespace` inside a cache directory. Each
-/// namespace is an independent append log — same directory, same wire
-/// format, separate file — so two subsystems (mining outcomes and
-/// clustering distances, say) can share a cache dir without sharing a
-/// key space or an analysis version.
-fn log_name(namespace: &str) -> String {
-    assert!(
-        !namespace.is_empty()
-            && namespace
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_'),
-        "cache namespace must be a non-empty [A-Za-z0-9_-]+ token, got {namespace:?}"
-    );
-    format!("{namespace}.log")
-}
+/// The log file name inside a cache directory.
+const LOG_NAME: &str = "cache.log";
 
 /// FNV-1a 64 of `bytes` — the per-record payload checksum.
 fn checksum(bytes: &[u8]) -> u64 {
@@ -250,8 +234,6 @@ impl VerifyReport {
 #[derive(Debug)]
 pub struct CacheStore {
     dir: PathBuf,
-    /// Log file name within `dir` — `<namespace>.log`.
-    log_name: String,
     version: u32,
     index: HashMap<u128, Entry>,
     pending: Vec<Fingerprint>,
@@ -281,24 +263,7 @@ impl CacheStore {
     /// [`CacheStore::open_tolerant`] (and then
     /// [`CacheStore::vacuum`]) to inspect and repair such a log.
     pub fn open(dir: &Path, version: u32) -> Result<CacheStore, StoreError> {
-        CacheStore::open_ns(dir, version, DEFAULT_NS)
-    }
-
-    /// Opens the log of `namespace` under `dir` — `<dir>/<namespace>.log`.
-    /// [`CacheStore::open`] is the `"cache"` namespace; other subsystems
-    /// get their own log (and so their own key space and analysis
-    /// version) in the same directory.
-    ///
-    /// # Errors
-    ///
-    /// As [`CacheStore::open`].
-    ///
-    /// # Panics
-    ///
-    /// If `namespace` is not a non-empty `[A-Za-z0-9_-]+` token (it
-    /// names a file inside `dir`; path separators would escape it).
-    pub fn open_ns(dir: &Path, version: u32, namespace: &str) -> Result<CacheStore, StoreError> {
-        CacheStore::open_inner(dir, version, namespace, false)
+        CacheStore::open_inner(dir, version, false)
     }
 
     /// Opens the cache under `dir` like [`CacheStore::open`], but skips
@@ -312,37 +277,13 @@ impl CacheStore {
     ///
     /// [`StoreError::Io`] only.
     pub fn open_tolerant(dir: &Path, version: u32) -> Result<CacheStore, StoreError> {
-        CacheStore::open_ns_tolerant(dir, version, DEFAULT_NS)
+        CacheStore::open_inner(dir, version, true)
     }
 
-    /// [`CacheStore::open_ns`] with the tolerant (inspection/repair)
-    /// load of [`CacheStore::open_tolerant`].
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] only.
-    ///
-    /// # Panics
-    ///
-    /// As [`CacheStore::open_ns`], on a malformed namespace.
-    pub fn open_ns_tolerant(
-        dir: &Path,
-        version: u32,
-        namespace: &str,
-    ) -> Result<CacheStore, StoreError> {
-        CacheStore::open_inner(dir, version, namespace, true)
-    }
-
-    fn open_inner(
-        dir: &Path,
-        version: u32,
-        namespace: &str,
-        tolerant: bool,
-    ) -> Result<CacheStore, StoreError> {
+    fn open_inner(dir: &Path, version: u32, tolerant: bool) -> Result<CacheStore, StoreError> {
         std::fs::create_dir_all(dir)?;
         let mut store = CacheStore {
             dir: dir.to_owned(),
-            log_name: log_name(namespace),
             version,
             index: HashMap::new(),
             pending: Vec::new(),
@@ -361,7 +302,7 @@ impl CacheStore {
 
     /// The path of the backing log file.
     pub fn log_path(&self) -> PathBuf {
-        self.dir.join(&self.log_name)
+        self.dir.join(LOG_NAME)
     }
 
     /// The analysis version lookups are checked against.
@@ -584,7 +525,7 @@ impl CacheStore {
                 &entry.payload,
             ));
         }
-        let tmp = self.dir.join(format!("{}.tmp", self.log_name));
+        let tmp = self.dir.join(format!("{LOG_NAME}.tmp"));
         std::fs::write(&tmp, &out)?;
         std::fs::rename(&tmp, self.log_path())?;
 
@@ -614,20 +555,7 @@ impl CacheStore {
 ///
 /// I/O failures only; an absent log verifies as an empty clean report.
 pub fn verify(dir: &Path) -> io::Result<VerifyReport> {
-    verify_ns(dir, DEFAULT_NS)
-}
-
-/// [`verify`] for one namespace's log — `<dir>/<namespace>.log`.
-///
-/// # Errors
-///
-/// I/O failures only; an absent log verifies as an empty clean report.
-///
-/// # Panics
-///
-/// On a malformed namespace, as [`CacheStore::open_ns`].
-pub fn verify_ns(dir: &Path, namespace: &str) -> io::Result<VerifyReport> {
-    let path = dir.join(log_name(namespace));
+    let path = dir.join(LOG_NAME);
     let mut report = VerifyReport::default();
     if !path.exists() {
         return Ok(report);
@@ -884,7 +812,7 @@ mod tests {
         assert_eq!(report.versions.get(&3), Some(&2));
 
         // Flip a payload byte: framing intact, checksum broken.
-        let log = dir.join("cache.log");
+        let log = dir.join(LOG_NAME);
         let mut bytes = std::fs::read(&log).unwrap();
         let flip = MAGIC.len() + 16 + 4 + 8; // first payload byte
         bytes[flip] ^= 0xFF;
@@ -983,53 +911,10 @@ mod tests {
     }
 
     #[test]
-    fn namespaces_are_isolated_logs_in_one_directory() {
-        let dir = temp_dir("namespaces");
-        let key = fingerprint(&[b"shared-key"]);
-        let mut mine = CacheStore::open(&dir, 1).unwrap();
-        let mut cluster = CacheStore::open_ns(&dir, 7, "cluster").unwrap();
-        mine.insert(key, b"mining outcome".to_vec());
-        cluster.insert(key, b"distance cell".to_vec());
-        mine.flush().unwrap();
-        cluster.flush().unwrap();
-        assert_ne!(mine.log_path(), cluster.log_path());
-        assert!(dir.join("cache.log").exists());
-        assert!(dir.join("cluster.log").exists());
-
-        // Same key, same dir, fully independent values and versions.
-        let mine = CacheStore::open(&dir, 1).unwrap();
-        let cluster = CacheStore::open_ns(&dir, 7, "cluster").unwrap();
-        assert_eq!(mine.get(key), Lookup::Hit(b"mining outcome".as_slice()));
-        assert_eq!(cluster.get(key), Lookup::Hit(b"distance cell".as_slice()));
-        let other = CacheStore::open_ns(&dir, 8, "cluster").unwrap();
-        assert_eq!(other.get(key), Lookup::StaleVersion);
-
-        // Vacuuming one namespace leaves the other log untouched.
-        let before = std::fs::read(dir.join("cache.log")).unwrap();
-        CacheStore::open_ns(&dir, 7, "cluster")
-            .unwrap()
-            .vacuum()
-            .unwrap();
-        assert_eq!(std::fs::read(dir.join("cache.log")).unwrap(), before);
-
-        // Per-namespace verify sees only its own log.
-        let report = verify_ns(&dir, "cluster").unwrap();
-        assert_eq!(report.valid_records, 1);
-        assert_eq!(report.versions.get(&7), Some(&1));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "cache namespace")]
-    fn rejects_a_path_escaping_namespace() {
-        let _ = CacheStore::open_ns(&temp_dir("bad-ns"), 1, "../evil");
-    }
-
-    #[test]
     fn foreign_file_is_treated_as_fully_corrupt() {
         let dir = temp_dir("foreign");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("cache.log"), b"not a cache file at all").unwrap();
+        std::fs::write(dir.join(LOG_NAME), b"not a cache file at all").unwrap();
         let store = CacheStore::open(&dir, 1).unwrap();
         assert_eq!(store.len(), 0);
         assert!(store.stats().corrupt_tail_bytes > 0);

@@ -132,51 +132,6 @@ impl LabelCache {
         interner.ids.insert(label.to_owned(), id);
         id
     }
-
-    /// Every memoized pair as `(label_a, label_b, similarity)`, sorted
-    /// by label pair for a deterministic snapshot. This is the
-    /// persistence export used by the cluster cache;
-    /// [`LabelCache::preload`] is its inverse.
-    #[must_use]
-    pub fn memo_entries(&self) -> Vec<(String, String, f64)> {
-        let interner = self.interner.read().expect("interner lock");
-        // Reverse map: id → label.
-        let mut labels: Vec<&str> = vec![""; interner.units.len()];
-        for (label, &id) in &interner.ids {
-            labels[id as usize] = label;
-        }
-        let memo = self.memo.read().expect("memo lock");
-        let mut out: Vec<(String, String, f64)> = memo
-            .iter()
-            .map(|(&key, &sim)| {
-                let x = labels[(key >> 32) as usize];
-                let y = labels[(key & u64::from(u32::MAX)) as usize];
-                // Canonicalize lexicographically: `pack` orders by
-                // intern id, which differs between cache instances.
-                let (a, b) = if x <= y { (x, y) } else { (y, x) };
-                (a.to_owned(), b.to_owned(), sim)
-            })
-            .collect();
-        out.sort_by(|x, y| (&x.0, &x.1).cmp(&(&y.0, &y.1)));
-        out
-    }
-
-    /// Seeds the memo with a previously computed similarity (the
-    /// persistence import). A seeded value short-circuits exactly like
-    /// a locally memoized one, so preloading values produced by
-    /// [`LabelCache::memo_entries`] leaves every later
-    /// [`LabelCache::similarity`] call bit-identical to a cold run.
-    pub fn preload(&self, a: &str, b: &str, sim: f64) {
-        if a == b {
-            return; // equal labels never touch the memo
-        }
-        let key = pack(self.intern(a), self.intern(b));
-        self.memo
-            .write()
-            .expect("memo lock")
-            .entry(key)
-            .or_insert(sim);
-    }
 }
 
 /// Packs an unordered id pair into one map key.
@@ -239,28 +194,6 @@ mod tests {
         let cache = LabelCache::with_id_cap(3);
         cache.similarity("a", "b");
         cache.similarity("c", "d"); // "d" would need id 3 — refuse
-    }
-
-    #[test]
-    fn memo_entries_round_trip_through_preload() {
-        let cache = LabelCache::default();
-        cache.similarity("arg1:AES/ECB", "arg1:AES/CBC");
-        cache.similarity("arg1:AES/GCM", "arg1:AES/CBC");
-        let entries = cache.memo_entries();
-        assert_eq!(entries.len(), 2);
-        assert!(entries.windows(2).all(|w| w[0] <= w[1]), "sorted snapshot");
-
-        let warm = LabelCache::default();
-        for (a, b, sim) in &entries {
-            warm.preload(a, b, *sim);
-        }
-        assert_eq!(warm.memoized_pairs(), 2);
-        assert_eq!(warm.memo_entries(), entries);
-        // Preloaded values short-circuit identically to computed ones.
-        assert_eq!(
-            warm.similarity("arg1:AES/ECB", "arg1:AES/CBC"),
-            cache.similarity("arg1:AES/ECB", "arg1:AES/CBC"),
-        );
     }
 
     #[test]

@@ -43,23 +43,19 @@
 
 #![warn(missing_docs)]
 
-mod bucket;
 mod cache;
 mod chain;
 mod dist;
 mod hierarchy;
-mod incr;
 mod lev;
 mod matrix;
 
-pub use bucket::{cluster_bucketed, BucketedClustering};
 pub use cache::LabelCache;
 pub use dist::{path_dist, paths_dist, usage_dist, usage_dist_cached};
 pub use hierarchy::{
     agglomerate, agglomerate_matrix, agglomerate_naive, agglomerate_with, Dendrogram, Linkage,
     Merge,
 };
-pub use incr::{matrix_from_prior, WarmMatrix};
 pub use lev::{label_similarity, levenshtein};
 pub use matrix::{condensed_cells, DistanceMatrix, MatrixError};
 
@@ -96,31 +92,21 @@ pub fn cluster_usage_changes(changes: &[UsageChange]) -> Dendrogram {
 /// [`Dendrogram::best_cut`]) can reuse it instead of re-evaluating
 /// [`usage_dist`].
 pub fn cluster_usage_changes_matrix(changes: &[UsageChange]) -> (Dendrogram, DistanceMatrix) {
-    cluster_usage_changes_matrix_metered(changes, &mut obs::MetricsRegistry::new())
+    cluster_usage_changes_matrix_traced(
+        changes,
+        &mut obs::MetricsRegistry::new(),
+        &mut obs::TraceSink::disabled(),
+    )
 }
 
 /// [`cluster_usage_changes_matrix`] with stage observability: records
 /// the `cluster.matrix` and `cluster.agglomerate` timing spans and the
 /// `cluster.items` / `cluster.pairs` counters into `registry`, so a
 /// pipeline run can see where clustering wall-clock goes (the matrix
-/// build is O(n²) distance evaluations; the nn-chain is O(n²) updates).
-pub fn cluster_usage_changes_matrix_metered(
-    changes: &[UsageChange],
-    registry: &mut obs::MetricsRegistry,
-) -> (Dendrogram, DistanceMatrix) {
-    registry.inc("cluster.items", changes.len() as u64);
-    registry.inc("cluster.pairs", pair_count(changes.len()));
-    let matrix = registry.time("cluster.matrix", || usage_distance_matrix(changes));
-    let dendrogram = registry.time("cluster.agglomerate", || {
-        agglomerate_matrix(&matrix, Linkage::Complete)
-    });
-    (dendrogram, matrix)
-}
-
-/// [`cluster_usage_changes_matrix_metered`], additionally emitting
-/// `cluster.matrix` and `cluster.agglomerate` spans into `trace` so a
-/// Chrome-trace export shows the same breakdown the timing metrics
-/// report does. No-op tracing when the sink is disabled.
+/// build is O(n²) distance evaluations; the nn-chain is O(n²) updates),
+/// and emits the same two spans into `trace` so a Chrome-trace export
+/// shows the breakdown the timing metrics report. No-op tracing when
+/// the sink is disabled.
 pub fn cluster_usage_changes_matrix_traced(
     changes: &[UsageChange],
     registry: &mut obs::MetricsRegistry,

@@ -13,8 +13,8 @@
 //! memory of a square matrix and cache-friendly row scans.
 
 /// Why a [`DistanceMatrix`] could not be built: the size arithmetic
-/// itself is the enforcement point for the clustering memory bound, so
-/// both failure modes are typed instead of wrapping or aborting.
+/// is checked, so an unaddressable matrix is a typed error instead of
+/// a wrapped length or an abort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MatrixError {
     /// `n·(n−1)/2` does not fit in `usize`, so the condensed buffer is
@@ -24,16 +24,6 @@ pub enum MatrixError {
         /// The offending item count.
         n: usize,
     },
-    /// The matrix is addressable but larger than the caller's cell
-    /// budget — the dense path must hand over to the bucketed scheme.
-    CellBudgetExceeded {
-        /// The offending item count.
-        n: usize,
-        /// Exact cell count `n·(n−1)/2`.
-        cells: u128,
-        /// The configured budget the count exceeded.
-        budget: usize,
-    },
 }
 
 impl std::fmt::Display for MatrixError {
@@ -42,10 +32,6 @@ impl std::fmt::Display for MatrixError {
             MatrixError::SizeOverflow { n } => {
                 write!(f, "condensed distance matrix for {n} items overflows usize")
             }
-            MatrixError::CellBudgetExceeded { n, cells, budget } => write!(
-                f,
-                "distance matrix for {n} items needs {cells} cells, over the budget of {budget}"
-            ),
         }
     }
 }
@@ -71,33 +57,24 @@ impl DistanceMatrix {
     /// # Panics
     ///
     /// If `n·(n−1)/2` overflows `usize`. Use [`DistanceMatrix::try_from_fn`]
-    /// to get a typed error (and a configurable cell budget) instead.
+    /// to get a typed error instead.
     pub fn from_fn(n: usize, dist: impl Fn(usize, usize) -> f64 + Sync) -> Self {
-        DistanceMatrix::try_from_fn(n, None, dist).expect("condensed matrix size overflows usize")
+        DistanceMatrix::try_from_fn(n, dist).expect("condensed matrix size overflows usize")
     }
 
     /// [`DistanceMatrix::from_fn`] with typed failure: refuses (instead
     /// of wrapping or aborting) when the condensed length `n·(n−1)/2`
-    /// overflows `usize`, or when it exceeds `max_cells` — the
-    /// enforcement point for the clustering memory bound. Each cell is
-    /// 8 bytes, so a budget of `N` cells caps the allocation at `8·N`
-    /// bytes.
+    /// overflows `usize`.
     ///
     /// # Errors
     ///
-    /// [`MatrixError::SizeOverflow`] or [`MatrixError::CellBudgetExceeded`].
+    /// [`MatrixError::SizeOverflow`].
     pub fn try_from_fn(
         n: usize,
-        max_cells: Option<usize>,
         dist: impl Fn(usize, usize) -> f64 + Sync,
     ) -> Result<Self, MatrixError> {
-        let cells = condensed_cells(n);
-        if let Some(budget) = max_cells {
-            if cells > budget as u128 {
-                return Err(MatrixError::CellBudgetExceeded { n, cells, budget });
-            }
-        }
-        let len = usize::try_from(cells).map_err(|_| MatrixError::SizeOverflow { n })?;
+        let len =
+            usize::try_from(condensed_cells(n)).map_err(|_| MatrixError::SizeOverflow { n })?;
         let mut data = vec![0.0f64; len];
         let threads = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -313,33 +290,9 @@ mod tests {
         let n = 1usize << 33; // n·(n−1)/2 ≈ 2⁶⁵ > usize::MAX
         #[cfg(not(target_pointer_width = "64"))]
         let n = usize::MAX;
-        let err = DistanceMatrix::try_from_fn(n, None, |_, _| 0.0).unwrap_err();
+        let err = DistanceMatrix::try_from_fn(n, |_, _| 0.0).unwrap_err();
         assert_eq!(err, MatrixError::SizeOverflow { n });
         assert!(err.to_string().contains("overflows"), "{err}");
-    }
-
-    #[test]
-    fn try_from_fn_enforces_the_cell_budget() {
-        // 6 items need 15 cells; a budget of 14 must refuse without
-        // evaluating a single distance.
-        let calls = AtomicUsize::new(0);
-        let err = DistanceMatrix::try_from_fn(6, Some(14), |_, _| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            0.0
-        })
-        .unwrap_err();
-        assert_eq!(
-            err,
-            MatrixError::CellBudgetExceeded {
-                n: 6,
-                cells: 15,
-                budget: 14
-            }
-        );
-        assert_eq!(calls.load(Ordering::Relaxed), 0, "no work past the budget");
-        // An exact-fit budget succeeds and matches the unbudgeted build.
-        let m = DistanceMatrix::try_from_fn(6, Some(15), |i, j| (i + j) as f64).unwrap();
-        assert_eq!(m, DistanceMatrix::from_fn(6, |i, j| (i + j) as f64));
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         &source,
                         threads,
                         opts.cache_dir.as_deref(),
-                        opts.cluster_cache_dir.as_deref(),
+                        opts.cluster,
                         opts.trace_sample.unwrap_or(1),
                     )?;
                     std::fs::write(trace_path, obs::to_chrome_json(&trace))
@@ -118,7 +118,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         &source,
                         threads,
                         opts.cache_dir.as_deref(),
-                        opts.cluster_cache_dir.as_deref(),
+                        opts.cluster,
                         diffcode::shutdown::flag(),
                     )?;
                     print!("{report}");
@@ -188,19 +188,18 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "cache" => {
-            let (action, dir, namespace) = parse_cache_args(&args[1..])?;
-            let namespace = namespace.as_deref();
+            let (action, dir) = parse_cache_args(&args[1..])?;
             match action.as_str() {
                 "stats" => {
-                    print!("{}", cli::render_cache_stats(&dir, namespace)?);
+                    print!("{}", cli::render_cache_stats(&dir)?);
                     Ok(ExitCode::SUCCESS)
                 }
                 "vacuum" => {
-                    print!("{}", cli::render_cache_vacuum(&dir, namespace)?);
+                    print!("{}", cli::render_cache_vacuum(&dir)?);
                     Ok(ExitCode::SUCCESS)
                 }
                 "verify" => {
-                    let (report, clean) = cli::render_cache_verify(&dir, namespace)?;
+                    let (report, clean) = cli::render_cache_verify(&dir)?;
                     print!("{report}");
                     Ok(if clean {
                         ExitCode::SUCCESS
@@ -316,7 +315,7 @@ struct MineOpts {
     max_commits: Option<usize>,
     threads: Option<usize>,
     cache_dir: Option<PathBuf>,
-    cluster_cache_dir: Option<PathBuf>,
+    cluster: bool,
     metrics_json: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     trace_sample: Option<u64>,
@@ -352,11 +351,11 @@ impl MineOpts {
 
 /// Parses `mine` flags: `--seed <N>` (default 42), `--projects <N>`
 /// (default 12), `--threads <N>` (default: all cores), `--cache-dir
-/// <dir>` (enables the persistent result cache), `--cluster-cache-dir
-/// <dir>` (clusters the mined changes through persisted distance
-/// cells), `--metrics-json <path>` (optional snapshot output),
-/// `--trace-out <path>` (Chrome trace-event JSON export), and
-/// `--trace-sample <N>` (keep every Nth span; needs `--trace-out`).
+/// <dir>` (enables the persistent result cache), `--cluster` (filters
+/// and clusters the mined changes), `--metrics-json <path>` (optional
+/// snapshot output), `--trace-out <path>` (Chrome trace-event JSON
+/// export), and `--trace-sample <N>` (keep every Nth span; needs
+/// `--trace-out`).
 fn parse_mine_flags(args: &[String]) -> Result<MineOpts, String> {
     let mut opts = MineOpts {
         seed: None,
@@ -366,7 +365,7 @@ fn parse_mine_flags(args: &[String]) -> Result<MineOpts, String> {
         max_commits: None,
         threads: None,
         cache_dir: None,
-        cluster_cache_dir: None,
+        cluster: false,
         metrics_json: None,
         trace_out: None,
         trace_sample: None,
@@ -412,9 +411,7 @@ fn parse_mine_flags(args: &[String]) -> Result<MineOpts, String> {
             "--cache-dir" => {
                 opts.cache_dir = Some(PathBuf::from(value_for("--cache-dir")?));
             }
-            "--cluster-cache-dir" => {
-                opts.cluster_cache_dir = Some(PathBuf::from(value_for("--cluster-cache-dir")?));
-            }
+            "--cluster" => opts.cluster = true,
             "--metrics-json" => {
                 opts.metrics_json = Some(PathBuf::from(value_for("--metrics-json")?));
             }
@@ -455,7 +452,7 @@ fn parse_explain_flags(args: &[String]) -> Result<(String, MineOpts), String> {
         max_commits: None,
         threads: None,
         cache_dir: None,
-        cluster_cache_dir: None,
+        cluster: false,
         metrics_json: None,
         trace_out: None,
         trace_sample: None,
@@ -514,13 +511,10 @@ fn parse_explain_flags(args: &[String]) -> Result<(String, MineOpts), String> {
 }
 
 /// Parses `cache` arguments: one action (`stats`, `vacuum`, `verify`)
-/// plus a required `--cache-dir <dir>` and an optional `--namespace
-/// <ns>` selecting which log in the directory to operate on (`cache`,
-/// the mining default, or `cluster`).
-fn parse_cache_args(args: &[String]) -> Result<(String, PathBuf, Option<String>), String> {
+/// plus a required `--cache-dir <dir>`.
+fn parse_cache_args(args: &[String]) -> Result<(String, PathBuf), String> {
     let mut action = None;
     let mut dir = None;
-    let mut namespace = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -529,12 +523,6 @@ fn parse_cache_args(args: &[String]) -> Result<(String, PathBuf, Option<String>)
                     .next()
                     .ok_or_else(|| "--cache-dir needs a value".to_owned())?;
                 dir = Some(PathBuf::from(value));
-            }
-            "--namespace" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--namespace needs a value".to_owned())?;
-                namespace = Some(value.clone());
             }
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown cache flag `{flag}`"));
@@ -549,7 +537,7 @@ fn parse_cache_args(args: &[String]) -> Result<(String, PathBuf, Option<String>)
     let action =
         action.ok_or_else(|| "cache needs an action: stats, vacuum, or verify".to_owned())?;
     let dir = dir.ok_or_else(|| "cache needs --cache-dir <dir>".to_owned())?;
-    Ok((action, dir, namespace))
+    Ok((action, dir))
 }
 
 /// Parses `metrics` flags: `--seed <N>` (default 42), `--projects <N>`

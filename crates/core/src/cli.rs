@@ -416,7 +416,7 @@ pub fn run_mine(
     cache_dir: Option<&Path>,
 ) -> Result<(String, MetricsRegistry), String> {
     let source = MineSource::Seeded { seed, n_projects };
-    let (out, registry, _, _) = run_mine_inner(&source, n_threads, cache_dir, None, None, None)?;
+    let (out, registry, _, _) = run_mine_inner(&source, n_threads, cache_dir, false, None, None)?;
     Ok((out, registry))
 }
 
@@ -435,17 +435,11 @@ pub fn run_mine_interruptible(
     source: &MineSource,
     n_threads: usize,
     cache_dir: Option<&Path>,
-    cluster_cache_dir: Option<&Path>,
+    cluster: bool,
     cancel: &'static std::sync::atomic::AtomicBool,
 ) -> Result<(String, MetricsRegistry, bool), String> {
-    let (out, registry, _, interrupted) = run_mine_inner(
-        source,
-        n_threads,
-        cache_dir,
-        cluster_cache_dir,
-        None,
-        Some(cancel),
-    )?;
+    let (out, registry, _, interrupted) =
+        run_mine_inner(source, n_threads, cache_dir, cluster, None, Some(cancel))?;
     Ok((out, registry, interrupted))
 }
 
@@ -464,14 +458,14 @@ pub fn run_mine_traced(
     source: &MineSource,
     n_threads: usize,
     cache_dir: Option<&Path>,
-    cluster_cache_dir: Option<&Path>,
+    cluster: bool,
     trace_sample: u64,
 ) -> Result<(String, MetricsRegistry, TraceSink), String> {
     let (out, registry, trace, _) = run_mine_inner(
         source,
         n_threads,
         cache_dir,
-        cluster_cache_dir,
+        cluster,
         Some(trace_sample),
         None,
     )?;
@@ -482,7 +476,7 @@ fn run_mine_inner(
     source: &MineSource,
     n_threads: usize,
     cache_dir: Option<&Path>,
-    cluster_cache_dir: Option<&Path>,
+    cluster: bool,
     trace_sample: Option<u64>,
     cancel: Option<&'static std::sync::atomic::AtomicBool>,
 ) -> Result<(String, MetricsRegistry, TraceSink, bool), String> {
@@ -527,12 +521,11 @@ fn run_mine_inner(
     }
     // Downstream of mining: a traced run extends the trace through
     // filtering and clustering so the export and `diffcode explain`
-    // show each change's full funnel journey, and a run with a cluster
-    // cache re-clusters through the persisted distance cells. Neither
-    // changes the mining report; the cluster path appends its own
-    // deterministic lines below.
+    // show each change's full funnel journey, and a `--cluster` run
+    // appends its own deterministic clustering lines to the report.
+    // Neither changes the mining report itself.
     let mut cluster_lines = String::new();
-    if trace.is_enabled() || cluster_cache_dir.is_some() {
+    if trace.is_enabled() || cluster {
         let (kept, _) = apply_filters_traced(
             result.changes.clone(),
             &mut SeenDups::new(),
@@ -540,48 +533,27 @@ fn run_mine_inner(
             &mut trace,
             0,
         );
-        match cluster_cache_dir {
-            Some(dir) => {
-                let mut ccache = crate::ccache::ClusterCache::open_default(dir)
-                    .map_err(|e| format!("opening cluster cache at {}: {e}", dir.display()))?;
-                if kept.len() >= 2 {
-                    let elicitation = crate::elicit::elicit_auto_cached(
-                        &kept,
-                        Some(&mut ccache),
-                        &mut registry,
-                        &mut trace,
-                    );
-                    let _ = writeln!(
-                        cluster_lines,
-                        "clustering: {} change(s) in {} cluster(s)",
-                        kept.len(),
-                        elicitation.clusters.len()
-                    );
-                    let _ = writeln!(
-                        cluster_lines,
-                        "cluster digest: {}",
-                        cluster_digest(&elicitation)
-                    );
-                } else {
-                    let _ = writeln!(
-                        cluster_lines,
-                        "clustering: skipped ({} change(s) after filtering)",
-                        kept.len()
-                    );
-                }
-                let flushed = ccache
-                    .flush()
-                    .map_err(|e| format!("flushing cluster cache: {e}"))?;
-                registry.inc("cluster.cache.flushed_entries", flushed as u64);
-                let stats = ccache.store().stats();
-                registry.set_gauge("cluster.cache.entries", stats.current_entries as f64);
-                registry.set_gauge("cluster.cache.file_bytes", stats.file_bytes as f64);
+        if kept.len() >= 2 {
+            let elicitation = crate::elicit::elicit_auto_traced(&kept, &mut registry, &mut trace);
+            if cluster {
+                let _ = writeln!(
+                    cluster_lines,
+                    "clustering: {} change(s) in {} cluster(s)",
+                    kept.len(),
+                    elicitation.clusters.len()
+                );
+                let _ = writeln!(
+                    cluster_lines,
+                    "cluster digest: {}",
+                    cluster_digest(&elicitation)
+                );
             }
-            None => {
-                if kept.len() >= 2 {
-                    let _ = crate::elicit::elicit_auto_traced(&kept, &mut registry, &mut trace);
-                }
-            }
+        } else if cluster {
+            let _ = writeln!(
+                cluster_lines,
+                "clustering: skipped ({} change(s) after filtering)",
+                kept.len()
+            );
         }
     }
     let mut out = String::new();
@@ -600,11 +572,11 @@ fn run_mine_inner(
     Ok((out, registry, trace, interrupted))
 }
 
-/// A content fingerprint of everything the cached clustering stage
-/// produced: every dendrogram merge (operands plus the exact height
-/// bits) and every cluster's membership, in report order. Two runs that
-/// print the same cluster digest built bit-identical dendrograms and
-/// cut them identically — the warm-vs-cold cluster CI gate compares
+/// A content fingerprint of everything the clustering stage produced:
+/// every dendrogram merge (operands plus the exact height bits) and
+/// every cluster's membership, in report order. Two runs that print the
+/// same cluster digest built bit-identical dendrograms and cut them
+/// identically — the warm-vs-cold `mine --cluster` CI gate compares
 /// this (plus the rest of the byte-identical report).
 fn cluster_digest(elicitation: &crate::elicit::Elicitation) -> cache::Fingerprint {
     let mut parts: Vec<String> =
@@ -876,43 +848,28 @@ fn render_span_subtree(
     }
 }
 
-/// Resolves a `cache --namespace` value to the log namespace and the
-/// version currently written under it. One directory can hold several
-/// logs — the mining outcomes (`cache.log`, the default) and the
-/// clustering distance cells (`cluster.log`) — and each namespace has
-/// its own notion of "current version".
-///
-/// # Errors
-///
-/// An unknown namespace (only the two known logs have a defined
-/// current version).
-fn cache_namespace(namespace: Option<&str>) -> Result<(&str, u32), String> {
-    match namespace.unwrap_or("cache") {
-        "cache" => Ok(("cache", crate::mcache::ANALYSIS_VERSION)),
-        "cluster" => Ok(("cluster", crate::ccache::CLUSTERING_VERSION)),
-        other => Err(format!(
-            "unknown cache namespace `{other}` (expected `cache` or `cluster`)"
-        )),
-    }
-}
-
 /// Renders `diffcode cache stats` for the store under `dir`. Opens
 /// tolerantly: inspection must work on a damaged log (skipped corrupt
-/// records show up in their own row). `namespace` selects which log in
-/// the directory to inspect (`None` = the mining log).
+/// records show up in their own row).
 ///
 /// # Errors
 ///
-/// I/O failures opening the store, or an unknown namespace.
-pub fn render_cache_stats(dir: &Path, namespace: Option<&str>) -> Result<String, String> {
-    let (ns, version) = cache_namespace(namespace)?;
-    let store = cache::CacheStore::open_ns_tolerant(dir, version, ns)
-        .map_err(|e| format!("opening cache at {}: {e}", dir.display()))?;
-    let stats = store.stats();
+/// I/O failures opening the store.
+pub fn render_cache_stats(dir: &Path) -> Result<String, String> {
+    let cache = MiningCache::open_tolerant(
+        dir,
+        &[],
+        &PipelineLimits::DEFAULT,
+        usagegraph::DEFAULT_MAX_DEPTH,
+    )
+    .map_err(|e| format!("opening cache at {}: {e}", dir.display()))?;
+    let stats = cache.store().stats();
     let mut table = Table::new(["Fact", "Value"]);
     table.row(["directory".to_owned(), dir.display().to_string()]);
-    table.row(["namespace".to_owned(), ns.to_owned()]);
-    table.row(["analysis version".to_owned(), version.to_string()]);
+    table.row([
+        "analysis version".to_owned(),
+        crate::mcache::ANALYSIS_VERSION.to_string(),
+    ]);
     table.row([
         "entries (current version)".to_owned(),
         stats.current_entries.to_string(),
@@ -940,19 +897,21 @@ pub fn render_cache_stats(dir: &Path, namespace: Option<&str>) -> Result<String,
 /// Runs `diffcode cache vacuum`: compacts the log to one record per
 /// live key, dropping stale versions, superseded duplicates, corrupt
 /// mid-log records, and any corrupt tail. Opens tolerantly — vacuum is
-/// the repair path for a log the strict open refuses. `namespace`
-/// selects which log in the directory to compact (`None` = the mining
-/// log).
+/// the repair path for a log the strict open refuses.
 ///
 /// # Errors
 ///
-/// I/O failures opening or rewriting the store, or an unknown
-/// namespace.
-pub fn render_cache_vacuum(dir: &Path, namespace: Option<&str>) -> Result<String, String> {
-    let (ns, version) = cache_namespace(namespace)?;
-    let mut store = cache::CacheStore::open_ns_tolerant(dir, version, ns)
-        .map_err(|e| format!("opening cache at {}: {e}", dir.display()))?;
-    let report = store
+/// I/O failures opening or rewriting the store.
+pub fn render_cache_vacuum(dir: &Path) -> Result<String, String> {
+    let mut cache = MiningCache::open_tolerant(
+        dir,
+        &[],
+        &PipelineLimits::DEFAULT,
+        usagegraph::DEFAULT_MAX_DEPTH,
+    )
+    .map_err(|e| format!("opening cache at {}: {e}", dir.display()))?;
+    let report = cache
+        .store_mut()
         .vacuum()
         .map_err(|e| format!("vacuuming cache at {}: {e}", dir.display()))?;
     let mut out = String::new();
@@ -973,16 +932,14 @@ pub fn render_cache_vacuum(dir: &Path, namespace: Option<&str>) -> Result<String
 
 /// Runs `diffcode cache verify`: a structural integrity scan of the
 /// log. Returns the report and whether the log is clean (the binary
-/// exits non-zero on a dirty log). `namespace` selects which log in
-/// the directory to scan (`None` = the mining log).
+/// exits non-zero on a dirty log).
 ///
 /// # Errors
 ///
-/// I/O failures reading the store, or an unknown namespace.
-pub fn render_cache_verify(dir: &Path, namespace: Option<&str>) -> Result<(String, bool), String> {
-    let (ns, current_version) = cache_namespace(namespace)?;
-    let report = cache::verify_ns(dir, ns)
-        .map_err(|e| format!("verifying cache at {}: {e}", dir.display()))?;
+/// I/O failures reading the store.
+pub fn render_cache_verify(dir: &Path) -> Result<(String, bool), String> {
+    let report =
+        cache::verify(dir).map_err(|e| format!("verifying cache at {}: {e}", dir.display()))?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -995,7 +952,7 @@ pub fn render_cache_verify(dir: &Path, namespace: Option<&str>) -> Result<(Strin
         report.corrupt_tail_bytes,
     );
     for (version, count) in &report.versions {
-        let marker = if *version == current_version {
+        let marker = if *version == crate::mcache::ANALYSIS_VERSION {
             " (current)"
         } else {
             ""
@@ -1043,7 +1000,7 @@ pub fn run_metrics(seed: u64, n_projects: usize, n_threads: usize) -> (String, M
     let (kept, filter_stats) = apply_filters_with_metrics(result.changes.clone(), &mut registry);
     if kept.len() >= 2 {
         let clock = obs::Stopwatch::start();
-        let _ = crate::elicit::elicit_auto_with_metrics(&kept, &mut registry);
+        let _ = crate::elicit::elicit_auto_traced(&kept, &mut registry, &mut TraceSink::disabled());
         registry.record_span("elicit.total", clock.elapsed());
     }
     // Reconciliation: the registry must agree exactly with the
@@ -1180,18 +1137,17 @@ USAGE:
     diffcode chaos [--seed <N>] [--rate <0..1>] [--projects <N>]
     diffcode mine [--seed <N>] [--projects <N>] [--threads <N>]
                   [--repo <path>] [--rev-range <A..B>] [--max-commits <N>]
-                  [--cache-dir <dir>] [--cluster-cache-dir <dir>]
-                  [--metrics-json <path>]
+                  [--cache-dir <dir>] [--cluster] [--metrics-json <path>]
                   [--trace-out <path>] [--trace-sample <N>]
     diffcode explain <fingerprint|project/path> [--seed <N>] [--projects <N>]
                      [--repo <path>] [--rev-range <A..B>] [--max-commits <N>]
                      [--threads <N>]
-    diffcode cache <stats|vacuum|verify> --cache-dir <dir> [--namespace <ns>]
+    diffcode cache <stats|vacuum|verify> --cache-dir <dir>
     diffcode metrics [--seed <N>] [--projects <N>] [--threads <N>]
                      [--metrics-json <path>]
     diffcode serve [--addr <host:port>] [--threads <N>] [--cache-dir <dir>]
-                   [--cluster-cache-dir <dir>] [--repo-root <dir>]
-                   [--deadline-ms <N>] [--queue-depth <N>] [--drain-ms <N>]
+                   [--repo-root <dir>] [--deadline-ms <N>] [--queue-depth <N>]
+                   [--drain-ms <N>]
 
 COMMANDS:
     analyze   print the abstract crypto-API usages (objects, events, DAGs)
@@ -1206,11 +1162,9 @@ COMMANDS:
               and print the deterministic accounting;
               --cache-dir enables the persistent result cache (a warm re-run
               replays cached outcomes and prints byte-identical output),
-              --cluster-cache-dir additionally filters + clusters the mined
-              changes with persisted distance cells (a warm re-cluster only
-              computes cells for new changes; output stays byte-identical to
-              a cold run), --metrics-json writes counters incl.
-              cache.hit/miss/stale_version and cluster.cache.hit/miss,
+              --cluster additionally filters + clusters the mined changes and
+              prints the cluster count and a cluster digest,
+              --metrics-json writes counters incl. cache.hit/miss/stale_version,
               --trace-out writes a Chrome trace-event JSON of the whole funnel
               (load it in Perfetto / chrome://tracing), --trace-sample N keeps
               every Nth span (decision events are always kept)
@@ -1221,9 +1175,7 @@ COMMANDS:
               in seeded mode; with --repo the journey covers real commits)
     cache     inspect the persistent result cache: stats (size/versions),
               vacuum (compact, dropping stale + superseded records),
-              verify (structural integrity scan; non-zero exit when dirty);
-              --namespace selects the log in the directory: cache (mining
-              outcomes, the default) or cluster (distance cells)
+              verify (structural integrity scan; non-zero exit when dirty)
     metrics   run the pipeline over a seeded corpus and report per-stage
               counters, quarantine breakdown, and stage latencies;
               --metrics-json writes the machine-readable snapshot
@@ -1231,8 +1183,8 @@ COMMANDS:
               the diffcode-serve binary next to this one): POST /mine,
               POST /mine-repo (walk + mine a clone named under
               --repo-root; disabled without it), POST /check,
-              GET /explain/<fingerprint>, GET /metrics,
-              GET /cluster/stats, GET /healthz, GET /readyz; per-request
+              GET /explain/<fingerprint>, GET /metrics, GET /healthz,
+              GET /readyz; per-request
               deadlines, bounded admission queue with 429 shedding,
               graceful SIGTERM drain
 ";
@@ -1376,7 +1328,7 @@ mod tests {
             seed: 42,
             n_projects: 4,
         };
-        let (traced, _, trace) = run_mine_traced(&source, 2, None, None, 1).unwrap();
+        let (traced, _, trace) = run_mine_traced(&source, 2, None, false, 1).unwrap();
         assert_eq!(plain, traced, "tracing must not perturb stdout");
         assert!(!trace.is_empty());
         let json = obs::to_chrome_json(&trace);

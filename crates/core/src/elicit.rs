@@ -1,23 +1,12 @@
 //! Clustering the filtered usage changes and eliciting rule candidates
 //! (paper §4.3 and §6.3).
 
-use crate::ccache::{CellLookup, ClusterCache};
 use crate::decision::{record_decision, DecisionReason};
 use crate::pipeline::MinedUsageChange;
-use cache::Fingerprint;
-use cluster::{
-    cluster_usage_changes_matrix, cluster_usage_changes_matrix_metered,
-    cluster_usage_changes_matrix_traced, Dendrogram,
-};
+use cluster::{cluster_usage_changes_matrix, cluster_usage_changes_matrix_traced, Dendrogram};
 use obs::{MetricsRegistry, TraceSink};
 use rules::SuggestedRule;
 use usagegraph::UsageChange;
-
-/// Cap on the silhouette search of the cached clustering path. The
-/// search is O(k·n²) — unbounded k (what [`elicit_auto`] uses) turns an
-/// n≥2000 corpus cubic, while real rule corpora cut into far fewer
-/// groups than this.
-pub const CLUSTER_MAX_K: usize = 64;
 
 /// One cluster of similar usage changes, with an automatically
 /// suggested rule.
@@ -61,29 +50,14 @@ pub fn elicit_auto(changes: &[MinedUsageChange]) -> Elicitation {
     build_elicitation(dendrogram, members, &usage_changes)
 }
 
-/// [`elicit_auto`] with stage observability: the clustering spans come
-/// from [`cluster_usage_changes_matrix_metered`], the silhouette search
-/// is timed as `elicit.cut`, and the resulting cluster count is
-/// published as `elicit.clusters`.
-pub fn elicit_auto_with_metrics(
-    changes: &[MinedUsageChange],
-    registry: &mut MetricsRegistry,
-) -> Elicitation {
-    let usage_changes: Vec<UsageChange> = changes.iter().map(|c| c.change.clone()).collect();
-    let (dendrogram, matrix) = cluster_usage_changes_matrix_metered(&usage_changes, registry);
-    let members = registry.time("elicit.cut", || {
-        dendrogram.best_cut(&matrix, usage_changes.len()).1
-    });
-    let elicitation = build_elicitation(dendrogram, members, &usage_changes);
-    registry.inc("elicit.clusters", elicitation.clusters.len() as u64);
-    elicitation
-}
-
-/// [`elicit_auto_with_metrics`] with decision provenance: wraps the
-/// whole stage in an `elicit` span, times the silhouette search as an
-/// `elicit.cut` span, and emits one `cluster(<id>)` decision per
-/// surviving change, where `<id>` is the change's cluster index in the
-/// final (largest-first) report order. The decisions carry the
+/// [`elicit_auto`] with stage observability and decision provenance:
+/// the clustering spans come from
+/// [`cluster_usage_changes_matrix_traced`], the silhouette search is
+/// timed as `elicit.cut`, and the resulting cluster count is published
+/// as `elicit.clusters`. The trace gets an `elicit` span around the
+/// whole stage, an `elicit.cut` span, and one `cluster(<id>)` decision
+/// per surviving change, where `<id>` is the change's cluster index
+/// in the final (largest-first) report order. The decisions carry the
 /// change's index into `changes` so tests can reconcile membership
 /// lists against the trace exactly.
 pub fn elicit_auto_traced(
@@ -114,152 +88,6 @@ pub fn elicit_auto_traced(
                     a.u64("cluster_size", cluster.members.len() as u64);
                 },
             );
-        }
-    }
-    trace.end(stage_span);
-    elicitation
-}
-
-/// [`elicit_auto`] through the persistent distance-cell cache: prior
-/// cells (keyed by content fingerprints, so corpus position does not
-/// matter) are replayed bit-exactly and only pairs touching changes
-/// *new* to the cache are evaluated. With `cache` absent (or empty)
-/// this **is** the cold path — one code path for warm and cold is what
-/// makes their output byte-identical, the same discipline
-/// `mine_cached` follows.
-///
-/// Differences from [`elicit_auto`], both deliberate:
-///
-/// - distance arguments are orientation-normalized by content
-///   fingerprint before evaluation, so a cell's bits never depend on
-///   which corpus position enumerated the pair first;
-/// - the silhouette search is capped at [`CLUSTER_MAX_K`] clusters.
-///
-/// Counters: `cluster.cache.hit` / `cluster.cache.miss` /
-/// `cluster.cache.stale_version` (one per pair), plus the usual
-/// `cluster.*` and `elicit.*` metrics. When `trace` is enabled the
-/// stage emits the same spans and per-member cluster decisions as
-/// [`elicit_auto_traced`]. Freshly computed cells and the label memo
-/// are recorded into `cache`; the caller flushes.
-pub fn elicit_auto_cached(
-    changes: &[MinedUsageChange],
-    mut cache: Option<&mut ClusterCache>,
-    registry: &mut MetricsRegistry,
-    trace: &mut TraceSink,
-) -> Elicitation {
-    let stage_span = trace.begin_with("elicit", |a| {
-        a.u64("changes", changes.len() as u64);
-        a.u64("cached", 1);
-    });
-    let usage_changes: Vec<UsageChange> = changes.iter().map(|c| c.change.clone()).collect();
-    let n = usage_changes.len();
-    registry.inc("cluster.items", n as u64);
-    registry.inc("cluster.pairs", cluster::pair_count(n));
-    let fps: Vec<Fingerprint> = usage_changes
-        .iter()
-        .map(ClusterCache::change_fingerprint)
-        .collect();
-
-    // Assemble the prior condensed vector: every persisted cell, NaN
-    // where the cache has nothing usable. Stale-version entries are
-    // recomputed like misses but counted separately.
-    let (mut hits, mut misses, mut stale) = (0u64, 0u64, 0u64);
-    let mut prior: Vec<f64> = Vec::new();
-    for i in 0..n {
-        for j in i + 1..n {
-            let looked_up = match cache.as_deref() {
-                Some(c) => c.cell(fps[i], fps[j]),
-                None => CellLookup::Miss,
-            };
-            prior.push(match looked_up {
-                CellLookup::Hit(d) => {
-                    hits += 1;
-                    d
-                }
-                CellLookup::StaleVersion => {
-                    stale += 1;
-                    f64::NAN
-                }
-                CellLookup::Miss => {
-                    misses += 1;
-                    f64::NAN
-                }
-            });
-        }
-    }
-    registry.inc("cluster.cache.hit", hits);
-    registry.inc("cluster.cache.miss", misses);
-    registry.inc("cluster.cache.stale_version", stale);
-
-    // Seed the label-similarity memo from the cache, so even the new
-    // cells skip recomputing known label pairs.
-    let label_cache = cluster::LabelCache::default();
-    if let Some(c) = cache.as_deref() {
-        for (a, b, sim) in c.label_memo() {
-            label_cache.preload(&a, &b, sim);
-        }
-    }
-
-    let matrix_span = trace.begin_with("cluster.matrix", |a| {
-        a.u64("items", n as u64);
-    });
-    let warm = registry.time("cluster.matrix", || {
-        cluster::matrix_from_prior(n, &prior, None, |i, j| {
-            // Orientation-normalize by fingerprint: the Hungarian
-            // assignment inside usage_dist sums floats in an
-            // argument-order-dependent order, and a persisted cell must
-            // replay identically no matter which side enumerated it.
-            let (x, y) = if fps[i].0 <= fps[j].0 { (i, j) } else { (j, i) };
-            cluster::usage_dist_cached(&usage_changes[x], &usage_changes[y], &label_cache)
-        })
-    });
-    trace.end(matrix_span);
-    let Ok(warm) = warm else {
-        // Unreachable: `prior` was just materialized at exactly the
-        // condensed length, so the size checks cannot fail. Degrade to
-        // an empty elicitation rather than panicking.
-        trace.end(stage_span);
-        return Elicitation {
-            dendrogram: Dendrogram::default(),
-            clusters: Vec::new(),
-        };
-    };
-    if let Some(c) = cache.as_mut() {
-        for &(i, j, d) in &warm.computed {
-            c.record_cell(fps[i], fps[j], d);
-        }
-        // The memo only grows when new cells were computed; re-recording
-        // an unchanged memo would just bloat the append log.
-        if !warm.computed.is_empty() {
-            c.record_label_memo(&label_cache.memo_entries());
-        }
-    }
-
-    let agg_span = trace.begin("cluster.agglomerate");
-    let dendrogram = registry.time("cluster.agglomerate", || {
-        cluster::agglomerate_matrix(&warm.matrix, cluster::Linkage::Complete)
-    });
-    trace.end(agg_span);
-    let cut_span = trace.begin("elicit.cut");
-    let members = registry.time("elicit.cut", || {
-        dendrogram.best_cut(&warm.matrix, CLUSTER_MAX_K).1
-    });
-    trace.end(cut_span);
-    let elicitation = build_elicitation(dendrogram, members, &usage_changes);
-    registry.inc("elicit.clusters", elicitation.clusters.len() as u64);
-    if trace.is_enabled() {
-        for (cluster_id, cluster) in elicitation.clusters.iter().enumerate() {
-            for &member in &cluster.members {
-                record_decision(
-                    trace,
-                    &changes[member].meta,
-                    &DecisionReason::Cluster(cluster_id),
-                    |a| {
-                        a.u64("index", member as u64);
-                        a.u64("cluster_size", cluster.members.len() as u64);
-                    },
-                );
-            }
         }
     }
     trace.end(stage_span);

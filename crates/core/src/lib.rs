@@ -41,7 +41,6 @@
 
 #![warn(missing_docs)]
 
-pub mod ccache;
 pub mod cli;
 pub mod decision;
 pub mod elicit;
@@ -53,10 +52,10 @@ pub mod quarantine;
 pub mod report;
 pub mod shutdown;
 
-pub use ccache::{CellLookup, ClusterCache, CLUSTERING_VERSION, CLUSTER_NAMESPACE};
 pub use decision::{DecisionReason, DECISION_EVENT};
-pub use elicit::{elicit, elicit_auto, render_dendrogram, ClusterReport, Elicitation};
-pub use elicit::{elicit_auto_cached, elicit_auto_traced, elicit_auto_with_metrics, CLUSTER_MAX_K};
+pub use elicit::{
+    elicit, elicit_auto, elicit_auto_traced, render_dendrogram, ClusterReport, Elicitation,
+};
 pub use experiments::{
     figure9_table, Experiments, Figure10Output, Figure6Row, Figure7Cell, Figure7Row, Figure8Output,
 };

@@ -1,4 +1,4 @@
-//! The five endpoints of the resident service.
+//! The endpoints of the resident service.
 //!
 //! | route | answers |
 //! |---|---|
@@ -9,7 +9,6 @@
 //! | `GET /metrics` | the registry in Prometheus text format |
 //! | `GET /status` | uptime, accounting, cache hit rates, percentiles |
 //! | `GET /trace/capture?events=N` | Chrome-trace snapshot of recent requests |
-//! | `GET /cluster/stats` | the persisted clustering distance-cell log |
 //! | `GET /healthz`, `GET /readyz` | liveness / drain-aware readiness |
 //!
 //! `/mine` goes through [`diffcode::DiffCode::process_pair_cached`] —
@@ -74,7 +73,6 @@ pub fn handle(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u
         ("POST", "/check") => check(req),
         ("GET", "/metrics") => metrics(shared),
         ("GET", "/status") => status(shared),
-        ("GET", "/cluster/stats") => cluster_stats(shared),
         ("GET", "/healthz") => Response::text(200, "ok"),
         ("GET", "/readyz") => {
             if shared.draining() {
@@ -87,8 +85,7 @@ pub fn handle(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u
         ("GET", path) if trace_capture_path(path) => trace_capture(path, shared),
         (
             _,
-            "/mine" | "/mine-repo" | "/check" | "/metrics" | "/status" | "/cluster/stats"
-            | "/healthz" | "/readyz",
+            "/mine" | "/mine-repo" | "/check" | "/metrics" | "/status" | "/healthz" | "/readyz",
         ) => err_json(405, "method not allowed for this path"),
         (_, path) if path.starts_with("/explain/") => err_json(405, "explain is GET-only"),
         (_, path) if trace_capture_path(path) => err_json(405, "trace capture is GET-only"),
@@ -475,50 +472,6 @@ fn explain(path: &str, shared: &Shared) -> Response {
     Response::json(200, body.render())
 }
 
-/// `GET /cluster/stats`: the state of the persisted clustering
-/// distance-cell log — how warm the next `mine --cluster-cache-dir`
-/// run on this directory starts.
-fn cluster_stats(shared: &Shared) -> Response {
-    let Some(lock) = shared.cluster_cache.as_ref() else {
-        return err_json(
-            404,
-            "no cluster cache configured (start with --cluster-cache-dir)",
-        );
-    };
-    let stats = {
-        let cache = lock.read().unwrap_or_else(PoisonError::into_inner);
-        cache.store().stats()
-    };
-    let body = Json::Obj(vec![
-        (
-            "namespace".to_owned(),
-            Json::Str(diffcode::CLUSTER_NAMESPACE.to_owned()),
-        ),
-        (
-            "clustering_version".to_owned(),
-            Json::Num(f64::from(diffcode::CLUSTERING_VERSION)),
-        ),
-        (
-            "entries".to_owned(),
-            Json::Num(stats.current_entries as f64),
-        ),
-        (
-            "stale_entries".to_owned(),
-            Json::Num(stats.stale_entries as f64),
-        ),
-        (
-            "records_loaded".to_owned(),
-            Json::Num(stats.records_loaded as f64),
-        ),
-        ("file_bytes".to_owned(), Json::Num(stats.file_bytes as f64)),
-        (
-            "corrupt_tail_bytes".to_owned(),
-            Json::Num(stats.corrupt_tail_bytes as f64),
-        ),
-    ]);
-    Response::json(200, body.render())
-}
-
 /// `GET /metrics`: deterministic Prometheus text. Logger throughput is
 /// snapshotted into gauges just before rendering, so scrape output
 /// carries the current emitted/dropped counts.
@@ -638,14 +591,6 @@ fn status(shared: &Shared) -> Response {
                 "cache".to_owned(),
                 if shared.cache.is_some() {
                     cache_rate_json(r, "cache")
-                } else {
-                    Json::Null
-                },
-            ),
-            (
-                "cluster_cache".to_owned(),
-                if shared.cluster_cache.is_some() {
-                    cache_rate_json(r, "cluster.cache")
                 } else {
                     Json::Null
                 },

@@ -17,9 +17,8 @@
 //! 3. On shutdown (SIGINT/SIGTERM via [`diffcode::shutdown`], or a
 //!    programmatic stop flag) the listener closes, queued connections
 //!    drain under the drain deadline (whatever the deadline catches
-//!    still queued is shed with `503`), the mining and cluster caches
-//!    flush their append logs, and the counters are returned as a
-//!    [`ServeSummary`].
+//!    still queued is shed with `503`), the mining cache flushes its
+//!    append log, and the counters are returned as a [`ServeSummary`].
 //!
 //! The accounting partition `accepted = completed + shed + failed`
 //! holds exactly whenever the server is idle or stopped — it is checked
@@ -49,10 +48,6 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Mining-cache directory; `None` serves without a cache.
     pub cache_dir: Option<PathBuf>,
-    /// Cluster-cache directory (distance cells persisted by
-    /// `diffcode mine --cluster-cache-dir`); `None` disables
-    /// `GET /cluster/stats`.
-    pub cluster_cache_dir: Option<PathBuf>,
     /// Directory of cloned repositories `POST /mine-repo` may walk;
     /// `None` (the default) disables the endpoint entirely. Requests
     /// name a repository relative to this root and can never escape it.
@@ -89,7 +84,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:8091".to_owned(),
             threads: 4,
             cache_dir: None,
-            cluster_cache_dir: None,
             repo_root: None,
             deadline_ms: 2_000,
             queue_depth: 64,
@@ -142,8 +136,6 @@ pub struct Shared {
     pub registry: Mutex<MetricsRegistry>,
     /// The hot mining cache, when configured.
     pub cache: Option<RwLock<MiningCache>>,
-    /// The persisted clustering distance cells, when configured.
-    pub cluster_cache: Option<RwLock<diffcode::ClusterCache>>,
     /// The `/explain` verdict journal.
     pub ring: Mutex<ExplainRing>,
     /// The structured logger (clone of `config.logger`).
@@ -256,22 +248,10 @@ impl Server {
             None => None,
         };
 
-        let cluster_cache = match &config.cluster_cache_dir {
-            Some(dir) => Some(RwLock::new(
-                // Same configuration as `diffcode mine
-                // --cluster-cache-dir`, so the served stats describe
-                // exactly the cells mining runs read and write.
-                diffcode::ClusterCache::open_default(dir)
-                    .map_err(|e| format!("opening cluster cache at {}: {e}", dir.display()))?,
-            )),
-            None => None,
-        };
-
         let shared = Arc::new(Shared {
             ring: Mutex::new(ExplainRing::new(config.ring_capacity)),
             registry: Mutex::new(MetricsRegistry::new()),
             cache,
-            cluster_cache,
             log: config.logger.clone(),
             trace: Mutex::new(TraceSink::enabled(1)),
             started: Instant::now(),
@@ -289,7 +269,6 @@ impl Server {
             .str("addr", &addr.to_string())
             .u64("threads", shared.config.threads.max(1) as u64)
             .bool("cache", shared.cache.is_some())
-            .bool("cluster_cache", shared.cluster_cache.is_some())
             .str("version", env!("CARGO_PKG_VERSION"))
             .emit();
         trace_instant(&shared, "serve.boot", |a| {
@@ -358,7 +337,7 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
         let _ = handle.join();
     }
 
-    // Flush the cache append logs so a restart starts warm.
+    // Flush the cache append log so a restart starts warm.
     let mut flushed = 0u64;
     if let Some(lock) = &shared.cache {
         let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
@@ -373,26 +352,6 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
             .u64("entries", flushed)
             .emit();
     }
-    if let Some(lock) = &shared.cluster_cache {
-        let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
-        let entries = match cache.flush() {
-            Ok(n) => {
-                shared.with_registry(|r| r.inc("cluster.cache.flushed_entries", n as u64));
-                n as u64
-            }
-            Err(_) => {
-                shared.with_registry(|r| r.inc("serve.cluster_cache_flush_errors", 1));
-                0
-            }
-        };
-        shared
-            .log
-            .event(LogLevel::Info, "serve.cache_flush")
-            .str("cache", "cluster")
-            .u64("entries", entries)
-            .emit();
-    }
-
     let summary = shared.with_registry(|r| {
         r.inc("cache.flushed_entries", flushed);
         r.set_gauge("serve.log_emitted", shared.log.emitted() as f64);
@@ -438,7 +397,6 @@ pub(crate) fn endpoint_label(path: &str) -> &'static str {
         "/mine-repo" => "mine_repo",
         "/check" => "check",
         "/metrics" => "metrics",
-        "/cluster/stats" => "cluster_stats",
         "/healthz" => "healthz",
         "/readyz" => "readyz",
         "/status" => "status",

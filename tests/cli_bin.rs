@@ -152,9 +152,77 @@ fn check_walks_directories() {
 
 #[test]
 fn bad_flag_reports_error() {
-    let out = diffcode(&["check", "--bogus"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    for (args, message) in [
+        (&["check", "--bogus"][..], "unknown flag"),
+        (
+            &["mine", "--cluster-cache-dir", "x"][..],
+            "unknown mine argument `--cluster-cache-dir`",
+        ),
+        (
+            &["cache", "stats", "--namespace", "cluster"][..],
+            "unknown cache flag `--namespace`",
+        ),
+    ] {
+        let out = diffcode(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
+
+/// The `N` of a `prefix N` token in `text`, e.g. `clusters elicited 11`.
+fn count_after(text: &str, prefix: &str) -> usize {
+    let rest = &text[text
+        .find(prefix)
+        .unwrap_or_else(|| panic!("{prefix}: {text}"))..];
+    rest[prefix.len()..]
+        .split_whitespace()
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no count after {prefix}: {text}"))
+}
+
+#[test]
+fn mine_cluster_agrees_with_metrics_cluster_count() {
+    let mine = diffcode(&["mine", "--seed", "42", "--projects", "60", "--cluster"]);
+    assert!(mine.status.success());
+    let mine = String::from_utf8_lossy(&mine.stdout);
+    let metrics = diffcode(&["metrics", "--seed", "42", "--projects", "60"]);
+    assert!(metrics.status.success());
+    let metrics = String::from_utf8_lossy(&metrics.stdout);
+    let clusters = count_after(&metrics, "clusters elicited");
+    assert!(clusters > 0, "{metrics}");
+    let kept = count_after(&metrics, "after fdup (kept)");
+    assert!(
+        mine.contains(&format!(
+            "clustering: {kept} change(s) in {clusters} cluster(s)\n"
+        )),
+        "{mine}"
+    );
+    assert!(mine.contains("cluster digest: "), "{mine}");
+}
+
+#[test]
+fn mine_cluster_cold_and_warm_runs_print_identical_output() {
+    let dir = std::env::temp_dir().join(format!("diffcode-cli-cluster-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let args = [
+        "mine",
+        "--seed",
+        "42",
+        "--projects",
+        "24",
+        "--cluster",
+        "--cache-dir",
+        dir.to_str().unwrap(),
+    ];
+    let cold = diffcode(&args);
+    let warm = diffcode(&args);
+    assert!(cold.status.success() && warm.status.success());
+    let cold = String::from_utf8_lossy(&cold.stdout);
+    assert!(cold.contains("clustering: "), "{cold}");
+    assert_eq!(cold, String::from_utf8_lossy(&warm.stdout));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

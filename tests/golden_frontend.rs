@@ -62,7 +62,8 @@ fn decision_trace_matches_prerefactor_golden() {
         seed: SEED,
         n_projects: PROJECTS,
     };
-    let (_, _, trace) = run_mine_traced(&source, THREADS, None, None, 1).expect("traced mine runs");
+    let (_, _, trace) =
+        run_mine_traced(&source, THREADS, None, false, 1).expect("traced mine runs");
     let mut lines = String::new();
     for event in trace.events() {
         if trace.name(event.name) != DECISION_EVENT {
