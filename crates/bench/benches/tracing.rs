@@ -7,8 +7,8 @@
 //! pipeline (which is what the committed bench baseline pins).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use diffcode::mine_parallel_traced;
-use obs::{MetricsRegistry, TraceSink};
+use diffcode::Run;
+use obs::TraceSink;
 use std::hint::black_box;
 
 fn bench_tracing_overhead(c: &mut Criterion) {
@@ -24,17 +24,12 @@ fn bench_tracing_overhead(c: &mut Criterion) {
     for (label, make_sink) in cases {
         group.bench_with_input(BenchmarkId::from_parameter(label), &corpus, |b, corpus| {
             b.iter(|| {
-                let mut registry = MetricsRegistry::new();
-                let mut trace = make_sink();
-                let result = mine_parallel_traced(
-                    black_box(corpus),
-                    &[],
-                    4,
-                    &mut registry,
-                    None,
-                    &mut trace,
-                );
-                (result.changes.len(), trace.len())
+                let mut run = Run {
+                    trace: make_sink(),
+                    ..Run::new(4)
+                };
+                let result = run.mine(black_box(corpus), &[]);
+                (result.changes.len(), run.trace.len())
             });
         });
     }

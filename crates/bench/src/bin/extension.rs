@@ -9,7 +9,7 @@
 //!
 //! Usage: `cargo run --release -p diffcode-bench --bin extension [n_projects] [seed]`
 
-use diffcode::{apply_filters, elicit_auto, DiffCode, Table};
+use diffcode::{apply_filters, DiffCode, Run, Table};
 use diffcode_bench::{config_from_args, header};
 use rules::{dsl, CheckedProject, ProjectContext};
 
@@ -47,7 +47,7 @@ fn main() {
 
     // 2. Cluster and auto-suggest rules (silhouette-chosen cut).
     header("Clusters and auto-suggested rules");
-    let elicitation = elicit_auto(&filtered);
+    let elicitation = Run::new(1).elicit(&filtered);
     for (i, cluster) in elicitation.clusters.iter().enumerate() {
         println!("cluster {} ({} members):", i + 1, cluster.members.len());
         print!("{}", cluster.representative);

@@ -49,7 +49,7 @@ fn main() {
     }
 
     // Beyond the paper: the silhouette-optimal cut needs no threshold.
-    let auto = diffcode::elicit_auto(&fig8.filtered);
+    let auto = diffcode::Run::new(1).elicit(&fig8.filtered);
     println!(
         "\nsilhouette-chosen cut (no threshold): {} clusters, largest has {} members",
         auto.clusters.len(),

@@ -1,6 +1,6 @@
 //! The `diffcode` command-line tool. See [`diffcode::cli::USAGE`].
 
-use diffcode::cli;
+use diffcode::{cli, Run};
 use rules::ProjectContext;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -90,53 +90,43 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     .map(std::num::NonZeroUsize::get)
                     .unwrap_or(1)
             });
-            let registry = match &opts.trace_out {
-                Some(trace_path) => {
-                    let (report, registry, trace) = cli::run_mine_traced(
-                        &source,
-                        threads,
-                        opts.cache_dir.as_deref(),
-                        opts.cluster,
-                        opts.trace_sample.unwrap_or(1),
-                    )?;
-                    std::fs::write(trace_path, obs::to_chrome_json(&trace))
-                        .map_err(|e| format!("{}: {e}", trace_path.display()))?;
-                    print!("{report}");
-                    println!(
-                        "trace: {} event(s) written to {}",
-                        trace.len(),
-                        trace_path.display()
-                    );
-                    registry
-                }
-                None => {
-                    // Graceful Ctrl-C: mining stops between changes,
-                    // the cache log is flushed, the partial summary
-                    // prints, and the process exits 130.
-                    diffcode::shutdown::install();
-                    let (report, registry, interrupted) = cli::run_mine_interruptible(
-                        &source,
-                        threads,
-                        opts.cache_dir.as_deref(),
-                        opts.cluster,
-                        diffcode::shutdown::flag(),
-                    )?;
-                    print!("{report}");
-                    if interrupted {
-                        if let Some(path) = opts.metrics_json {
-                            std::fs::write(&path, registry.to_json())
-                                .map_err(|e| format!("{}: {e}", path.display()))?;
-                        }
-                        return Ok(ExitCode::from(130));
-                    }
-                    registry
-                }
+            let mut cache = opts
+                .cache_dir
+                .as_deref()
+                .map(cli::open_mining_cache)
+                .transpose()?;
+            // Graceful Ctrl-C: mining stops between changes, the cache
+            // log is flushed, the partial summary prints, and the
+            // process exits 130.
+            diffcode::shutdown::install();
+            let mut run = Run {
+                cache: cache.as_mut(),
+                cancel: Some(diffcode::shutdown::flag()),
+                ..Run::new(threads)
             };
+            if opts.trace_out.is_some() {
+                run.trace = obs::TraceSink::enabled(opts.trace_sample.unwrap_or(1));
+            }
+            let report = cli::mine_report(&source, &mut run, opts.cluster)?;
+            print!("{report}");
+            if let Some(trace_path) = &opts.trace_out {
+                std::fs::write(trace_path, obs::to_chrome_json(&run.trace))
+                    .map_err(|e| format!("{}: {e}", trace_path.display()))?;
+                println!(
+                    "trace: {} event(s) written to {}",
+                    run.trace.len(),
+                    trace_path.display()
+                );
+            }
             if let Some(path) = opts.metrics_json {
-                std::fs::write(&path, registry.to_json())
+                std::fs::write(&path, run.metrics.to_json())
                     .map_err(|e| format!("{}: {e}", path.display()))?;
             }
-            Ok(ExitCode::SUCCESS)
+            Ok(if run.interrupted() {
+                ExitCode::from(130)
+            } else {
+                ExitCode::SUCCESS
+            })
         }
         "serve" => {
             // Cargo-style external subcommand: the server depends on

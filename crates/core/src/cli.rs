@@ -4,9 +4,9 @@
 //! All rendering lives here (unit-testable, no I/O); the binary in
 //! `src/bin/diffcode.rs` only reads files and forwards sources.
 
-use crate::filter::{apply_filters_traced, apply_filters_with_metrics, SeenDups};
+use crate::filter::FILTER_FUNNEL;
 use crate::mcache::MiningCache;
-use crate::pipeline::{mine_parallel_traced, mine_parallel_with_metrics, DiffCode, MiningResult};
+use crate::pipeline::{DiffCode, MiningResult, Run};
 use crate::quarantine::{ErrorKind, PipelineLimits};
 use crate::report::Table;
 use analysis::TARGET_CLASSES;
@@ -397,14 +397,7 @@ fn render_ingest_summary(report: &gitsrc::IngestReport) -> String {
 
 /// Runs a (parallel) mining run over a seeded corpus, optionally
 /// through the persistent result cache under `cache_dir`, and renders
-/// the accounting. Backs the `diffcode mine` command.
-///
-/// The rendered report is **fully deterministic** — no timings, no
-/// thread counts, no cache hit/miss numbers — so CI can byte-compare a
-/// cold run's stdout against a warm one's. Everything
-/// run-dependent (latencies, `cache.hit` / `cache.miss` /
-/// `cache.stale_version`, flush counts) lives only in the returned
-/// registry, which the binary serializes via `--metrics-json`.
+/// the accounting — [`mine_report`] on a fresh [`Run`].
 ///
 /// # Errors
 ///
@@ -415,161 +408,100 @@ pub fn run_mine(
     n_threads: usize,
     cache_dir: Option<&Path>,
 ) -> Result<(String, MetricsRegistry), String> {
-    let source = MineSource::Seeded { seed, n_projects };
-    let (out, registry, _, _) = run_mine_inner(&source, n_threads, cache_dir, false, None, None)?;
-    Ok((out, registry))
+    let mut cache = cache_dir.map(open_mining_cache).transpose()?;
+    let mut run = Run {
+        cache: cache.as_mut(),
+        ..Run::new(n_threads)
+    };
+    let report = mine_report(&MineSource::Seeded { seed, n_projects }, &mut run, false)?;
+    Ok((report, run.metrics))
 }
 
-/// [`run_mine`] with a cooperative cancellation flag (the binary wires
-/// in [`crate::shutdown::flag`]). When the flag trips mid-run, mining
-/// stops between changes, the cache log is still flushed, and the
-/// report covers the partial run with an explicit `interrupted` line —
-/// Ctrl-C costs the remainder of the run, never the warm cache.
-/// Returns the report, the registry, and whether the run was
-/// interrupted (the binary exits 130 in that case).
+/// Opens the mining result cache under `dir` with the configuration
+/// [`crate::DiffCode::new`] mines at (default targets, limits and
+/// depth); a cache opened with any other configuration would miss on
+/// every lookup.
 ///
 /// # Errors
 ///
-/// I/O failures opening or flushing the cache.
-pub fn run_mine_interruptible(
-    source: &MineSource,
-    n_threads: usize,
-    cache_dir: Option<&Path>,
-    cluster: bool,
-    cancel: &'static std::sync::atomic::AtomicBool,
-) -> Result<(String, MetricsRegistry, bool), String> {
-    let (out, registry, _, interrupted) =
-        run_mine_inner(source, n_threads, cache_dir, cluster, None, Some(cancel))?;
-    Ok((out, registry, interrupted))
-}
-
-/// [`run_mine`] with structured tracing at the given sampling interval
-/// (`1` = record every span): the returned [`TraceSink`] covers the
-/// full funnel — mining, filtering, clustering — with one decision
-/// event per change, and serializes to Chrome trace-event JSON via
-/// [`obs::to_chrome_json`]. The rendered report stays byte-identical
-/// to an untraced run's, so tracing never perturbs the warm-vs-cold
-/// stdout gate.
-///
-/// # Errors
-///
-/// I/O failures opening or flushing the cache.
-pub fn run_mine_traced(
-    source: &MineSource,
-    n_threads: usize,
-    cache_dir: Option<&Path>,
-    cluster: bool,
-    trace_sample: u64,
-) -> Result<(String, MetricsRegistry, TraceSink), String> {
-    let (out, registry, trace, _) = run_mine_inner(
-        source,
-        n_threads,
-        cache_dir,
-        cluster,
-        Some(trace_sample),
-        None,
-    )?;
-    Ok((out, registry, trace))
-}
-
-fn run_mine_inner(
-    source: &MineSource,
-    n_threads: usize,
-    cache_dir: Option<&Path>,
-    cluster: bool,
-    trace_sample: Option<u64>,
-    cancel: Option<&'static std::sync::atomic::AtomicBool>,
-) -> Result<(String, MetricsRegistry, TraceSink, bool), String> {
-    let mut registry = MetricsRegistry::new();
-    let mut trace = match trace_sample {
-        Some(sample) => TraceSink::enabled(sample),
-        None => TraceSink::disabled(),
-    };
-    let (corpus, ingest_summary) = source.corpus(&mut registry)?;
-    corpus::corpus_stats(&corpus).record(&mut registry);
-    let mut cache = match cache_dir {
-        Some(dir) => Some(
-            // DiffCode::new() mines at default limits and depth; the
-            // cache must be opened with the same configuration or every
-            // lookup would miss.
-            MiningCache::open(
-                dir,
-                &[],
-                &PipelineLimits::DEFAULT,
-                usagegraph::DEFAULT_MAX_DEPTH,
-            )
-            .map_err(|e| format!("opening cache at {}: {e}", dir.display()))?,
-        ),
-        None => None,
-    };
-    let result = crate::pipeline::mine_parallel_interruptible(
-        &corpus,
+/// I/O failures opening the store, or a log the strict open refuses.
+pub fn open_mining_cache(dir: &Path) -> Result<MiningCache, String> {
+    MiningCache::open(
+        dir,
         &[],
-        n_threads,
-        &mut registry,
-        cache.as_mut(),
-        &mut trace,
-        cancel,
-    );
-    let interrupted = cancel.is_some_and(|flag| flag.load(std::sync::atomic::Ordering::SeqCst));
-    if let Some(cache) = cache.as_mut() {
+        &PipelineLimits::DEFAULT,
+        usagegraph::DEFAULT_MAX_DEPTH,
+    )
+    .map_err(|e| format!("opening cache at {}: {e}", dir.display()))
+}
+
+/// Backs `diffcode mine`: builds the corpus, runs it through `run`'s
+/// funnel — mining only, or with `cluster` also filter → cluster →
+/// elicit — flushes the run's cache, and renders the accounting, with
+/// `clustering:` / `cluster digest:` lines when `cluster` is set.
+///
+/// The report is **fully deterministic** — no timings, no thread
+/// counts, no cache hit/miss numbers — so CI can byte-compare a cold
+/// run's stdout against a warm one's, and a traced run's against an
+/// untraced one's: the trace records what was computed and never
+/// changes it. Everything run-dependent (latencies, `cache.hit` /
+/// `cache.miss` / `cache.stale_version`, flush counts) lives only in
+/// `run.metrics`. When the run's cancel flag stops mining, the cache
+/// log is still flushed and the report covers the partial run with an
+/// explicit `interrupted:` line.
+///
+/// # Errors
+///
+/// Repository ingestion failures; I/O failures flushing the cache.
+pub fn mine_report(
+    source: &MineSource,
+    run: &mut Run<'_>,
+    cluster: bool,
+) -> Result<String, String> {
+    let (corpus, ingest_summary) = source.corpus(&mut run.metrics)?;
+    corpus::corpus_stats(&corpus).record(&mut run.metrics);
+    let funnel = run.funnel(&corpus, cluster);
+    if let Some(cache) = run.cache.as_deref_mut() {
         let flushed = cache.flush().map_err(|e| format!("flushing cache: {e}"))?;
-        registry.inc("cache.flushed_entries", flushed as u64);
+        run.metrics.inc("cache.flushed_entries", flushed as u64);
         let stats = cache.store().stats();
-        registry.set_gauge("cache.entries", stats.current_entries as f64);
-        registry.set_gauge("cache.file_bytes", stats.file_bytes as f64);
-    }
-    // Downstream of mining: a traced run extends the trace through
-    // filtering and clustering so the export and `diffcode explain`
-    // show each change's full funnel journey, and a `--cluster` run
-    // appends its own deterministic clustering lines to the report.
-    // Neither changes the mining report itself.
-    let mut cluster_lines = String::new();
-    if trace.is_enabled() || cluster {
-        let (kept, _) = apply_filters_traced(
-            result.changes.clone(),
-            &mut SeenDups::new(),
-            &mut registry,
-            &mut trace,
-            0,
-        );
-        if kept.len() >= 2 {
-            let elicitation = crate::elicit::elicit_auto_traced(&kept, &mut registry, &mut trace);
-            if cluster {
-                let _ = writeln!(
-                    cluster_lines,
-                    "clustering: {} change(s) in {} cluster(s)",
-                    kept.len(),
-                    elicitation.clusters.len()
-                );
-                let _ = writeln!(
-                    cluster_lines,
-                    "cluster digest: {}",
-                    cluster_digest(&elicitation)
-                );
-            }
-        } else if cluster {
-            let _ = writeln!(
-                cluster_lines,
-                "clustering: skipped ({} change(s) after filtering)",
-                kept.len()
-            );
-        }
+        run.metrics
+            .set_gauge("cache.entries", stats.current_entries as f64);
+        run.metrics
+            .set_gauge("cache.file_bytes", stats.file_bytes as f64);
     }
     let mut out = String::new();
     out.push_str(&source.header());
     out.push_str(&ingest_summary);
-    if interrupted {
+    if run.interrupted() {
         let _ = writeln!(
             out,
             "interrupted: partial results below cover {} processed change(s); cache log flushed",
-            result.stats.code_changes
+            funnel.mined.stats.code_changes
         );
     }
-    out.push_str(&render_mining_summary(&result, 10));
-    let _ = writeln!(out, "\nresult digest: {}", mined_digest(&result));
-    out.push_str(&cluster_lines);
-    Ok((out, registry, trace, interrupted))
+    out.push_str(&render_mining_summary(&funnel.mined, 10));
+    let _ = writeln!(out, "\nresult digest: {}", mined_digest(&funnel.mined));
+    match (&funnel.filtered, &funnel.elicitation) {
+        (Some((kept, _)), Some(elicitation)) => {
+            let _ = writeln!(
+                out,
+                "clustering: {} change(s) in {} cluster(s)",
+                kept.len(),
+                elicitation.clusters.len()
+            );
+            let _ = writeln!(out, "cluster digest: {}", cluster_digest(elicitation));
+        }
+        (Some((kept, _)), None) => {
+            let _ = writeln!(
+                out,
+                "clustering: skipped ({} change(s) after filtering)",
+                kept.len()
+            );
+        }
+        (None, _) => {}
+    }
+    Ok(out)
 }
 
 /// A content fingerprint of everything the clustering stage produced:
@@ -706,24 +638,16 @@ pub fn run_explain_source(
     source: &MineSource,
     n_threads: usize,
 ) -> Result<String, String> {
-    let mut registry = MetricsRegistry::new();
-    let mut trace = TraceSink::enabled(1);
-    let (mut corpus, _) = source.corpus(&mut registry)?;
+    let mut run = Run {
+        trace: TraceSink::enabled(1),
+        ..Run::new(n_threads)
+    };
+    let (mut corpus, _) = source.corpus(&mut run.metrics)?;
     if matches!(source, MineSource::Seeded { .. }) {
         corpus.projects.insert(0, figure2_project());
     }
-    let result = mine_parallel_traced(&corpus, &[], n_threads, &mut registry, None, &mut trace);
-    let (kept, _) = apply_filters_traced(
-        result.changes,
-        &mut SeenDups::new(),
-        &mut registry,
-        &mut trace,
-        0,
-    );
-    if kept.len() >= 2 {
-        let _ = crate::elicit::elicit_auto_traced(&kept, &mut registry, &mut trace);
-    }
-    render_explain(&trace, query)
+    run.funnel(&corpus, true);
+    render_explain(&run.trace, query)
 }
 
 /// Renders the funnel journey of every change in `trace` matching
@@ -971,18 +895,6 @@ pub fn render_cache_verify(dir: &Path) -> Result<(String, bool), String> {
     Ok((out, clean))
 }
 
-/// The counter names of the mining → filtering funnel, in pipeline
-/// order. Shared by the report renderer, the invariant check, and the
-/// CI snapshot checker (which re-implements the same chain over the
-/// JSON snapshot).
-pub const FILTER_FUNNEL: [&str; 5] = [
-    "filter.total",
-    "filter.after_fsame",
-    "filter.after_fadd",
-    "filter.after_frem",
-    "filter.after_fdup",
-];
-
 /// Runs the full pipeline (generate → mine in parallel → filter →
 /// cluster/elicit) over a seeded corpus with the observability layer
 /// on, returning the rendered per-stage report and the registry (the
@@ -991,26 +903,30 @@ pub const FILTER_FUNNEL: [&str; 5] = [
 /// Backs the `diffcode metrics` command. The report is built entirely
 /// from the registry, so anything it shows is also in the snapshot.
 pub fn run_metrics(seed: u64, n_projects: usize, n_threads: usize) -> (String, MetricsRegistry) {
-    let mut registry = MetricsRegistry::new();
-    let corpus = registry.time("corpus.generate", || {
+    let mut run = Run::new(n_threads);
+    let corpus = run.metrics.time("corpus.generate", || {
         corpus::generate(&corpus::GeneratorConfig::small(n_projects, seed))
     });
-    corpus::corpus_stats(&corpus).record(&mut registry);
-    let result = mine_parallel_with_metrics(&corpus, &[], n_threads, &mut registry);
-    let (kept, filter_stats) = apply_filters_with_metrics(result.changes.clone(), &mut registry);
-    if kept.len() >= 2 {
-        let clock = obs::Stopwatch::start();
-        let _ = crate::elicit::elicit_auto_traced(&kept, &mut registry, &mut TraceSink::disabled());
-        registry.record_span("elicit.total", clock.elapsed());
-    }
+    corpus::corpus_stats(&corpus).record(&mut run.metrics);
+    let funnel = run.funnel(&corpus, true);
     // Reconciliation: the registry must agree exactly with the
     // pipeline's own accounting structs.
-    debug_assert_eq!(registry.counter("mine.mined"), result.stats.mined as u64);
+    let registry = run.metrics;
+    debug_assert_eq!(
+        registry.counter("mine.mined"),
+        funnel.mined.stats.mined as u64
+    );
     debug_assert_eq!(
         registry.counter("mine.skipped"),
-        result.stats.skipped.total() as u64
+        funnel.mined.stats.skipped.total() as u64
     );
-    debug_assert_eq!(registry.counter("filter.total"), filter_stats.total as u64);
+    debug_assert_eq!(
+        funnel
+            .filtered
+            .as_ref()
+            .map(|(_, stats)| stats.total as u64),
+        Some(registry.counter("filter.total"))
+    );
     let report = render_metrics_report(&registry, seed, n_threads);
     (report, registry)
 }
@@ -1165,9 +1081,11 @@ COMMANDS:
               --cluster additionally filters + clusters the mined changes and
               prints the cluster count and a cluster digest,
               --metrics-json writes counters incl. cache.hit/miss/stale_version,
-              --trace-out writes a Chrome trace-event JSON of the whole funnel
-              (load it in Perfetto / chrome://tracing), --trace-sample N keeps
-              every Nth span (decision events are always kept)
+              --trace-out writes a Chrome trace-event JSON of the stages the
+              run computed (load it in Perfetto / chrome://tracing; add
+              --cluster to trace filtering and clustering too),
+              --trace-sample N keeps every Nth span (decision events are
+              always kept)
     explain   re-run the traced pipeline and print one change's full funnel
               journey — pipeline spans plus the typed decision each stage
               recorded; the query is a change-fingerprint prefix or a
@@ -1323,16 +1241,60 @@ mod tests {
 
     #[test]
     fn traced_mine_report_is_byte_identical_to_untraced() {
-        let (plain, _) = run_mine(42, 4, 2, None).unwrap();
         let source = MineSource::Seeded {
             seed: 42,
             n_projects: 4,
         };
-        let (traced, _, trace) = run_mine_traced(&source, 2, None, false, 1).unwrap();
-        assert_eq!(plain, traced, "tracing must not perturb stdout");
-        assert!(!trace.is_empty());
-        let json = obs::to_chrome_json(&trace);
+        let mut plain = Run::new(2);
+        let plain_report = mine_report(&source, &mut plain, false).unwrap();
+        let mut traced = Run {
+            trace: TraceSink::enabled(1),
+            ..Run::new(2)
+        };
+        let traced_report = mine_report(&source, &mut traced, false).unwrap();
+        assert_eq!(
+            plain_report, traced_report,
+            "tracing must not perturb stdout"
+        );
+        // Tracing records what was computed and computes nothing more:
+        // no filter or cluster counters appear without `cluster`.
+        let names = |run: &Run| {
+            run.metrics
+                .counters()
+                .map(|(n, _)| n.to_owned())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(&plain), names(&traced));
+        assert!(!names(&traced).iter().any(|n| n.starts_with("filter.")));
+        assert!(!traced.trace.is_empty());
+        let json = obs::to_chrome_json(&traced.trace);
         assert!(json.starts_with("[\n"), "{}", &json[..40]);
+    }
+
+    #[test]
+    fn cancelled_parallel_mine_reports_the_interruption() {
+        static FLAG: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
+        let mut run = Run {
+            cancel: Some(&FLAG),
+            ..Run::new(4)
+        };
+        let source = MineSource::Seeded {
+            seed: 42,
+            n_projects: 6,
+        };
+        let report = mine_report(&source, &mut run, true).unwrap();
+        assert!(run.interrupted());
+        assert!(
+            report.contains(
+                "interrupted: partial results below cover 0 processed change(s); cache log flushed"
+            ),
+            "{report}"
+        );
+        assert!(report.contains("processed 0 code change(s)"), "{report}");
+        assert!(
+            report.contains("clustering: skipped (0 change(s) after filtering)"),
+            "{report}"
+        );
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! (paper §4.3 and §6.3).
 
 use crate::decision::{record_decision, DecisionReason};
-use crate::pipeline::MinedUsageChange;
+use crate::pipeline::{MinedUsageChange, Run};
 use cluster::{cluster_usage_changes_matrix, cluster_usage_changes_matrix_traced, Dendrogram};
-use obs::{MetricsRegistry, TraceSink};
+use obs::Stopwatch;
 use rules::SuggestedRule;
 use usagegraph::UsageChange;
 
@@ -38,60 +38,54 @@ pub fn elicit(changes: &[MinedUsageChange], threshold: f64) -> Elicitation {
     build_elicitation(dendrogram, members, &usage_changes)
 }
 
-/// Like [`elicit`], but chooses the cut automatically by maximising the
-/// mean silhouette coefficient (no threshold to tune).
-///
-/// The silhouette search reuses the distance matrix the dendrogram was
-/// built from, so no pairwise distance is ever evaluated twice.
-pub fn elicit_auto(changes: &[MinedUsageChange]) -> Elicitation {
-    let usage_changes: Vec<UsageChange> = changes.iter().map(|c| c.change.clone()).collect();
-    let (dendrogram, matrix) = cluster_usage_changes_matrix(&usage_changes);
-    let (_, members, _) = dendrogram.best_cut(&matrix, usage_changes.len());
-    build_elicitation(dendrogram, members, &usage_changes)
-}
-
-/// [`elicit_auto`] with stage observability and decision provenance:
-/// the clustering spans come from
-/// [`cluster_usage_changes_matrix_traced`], the silhouette search is
-/// timed as `elicit.cut`, and the resulting cluster count is published
-/// as `elicit.clusters`. The trace gets an `elicit` span around the
-/// whole stage, an `elicit.cut` span, and one `cluster(<id>)` decision
-/// per surviving change, where `<id>` is the change's cluster index
-/// in the final (largest-first) report order. The decisions carry the
-/// change's index into `changes` so tests can reconcile membership
-/// lists against the trace exactly.
-pub fn elicit_auto_traced(
-    changes: &[MinedUsageChange],
-    registry: &mut MetricsRegistry,
-    trace: &mut TraceSink,
-) -> Elicitation {
-    let stage_span = trace.begin_with("elicit", |a| {
-        a.u64("changes", changes.len() as u64);
-    });
-    let usage_changes: Vec<UsageChange> = changes.iter().map(|c| c.change.clone()).collect();
-    let (dendrogram, matrix) = cluster_usage_changes_matrix_traced(&usage_changes, registry, trace);
-    let cut_span = trace.begin("elicit.cut");
-    let members = registry.time("elicit.cut", || {
-        dendrogram.best_cut(&matrix, usage_changes.len()).1
-    });
-    trace.end(cut_span);
-    let elicitation = build_elicitation(dendrogram, members, &usage_changes);
-    registry.inc("elicit.clusters", elicitation.clusters.len() as u64);
-    for (cluster_id, cluster) in elicitation.clusters.iter().enumerate() {
-        for &member in &cluster.members {
-            record_decision(
-                trace,
-                &changes[member].meta,
-                &DecisionReason::Cluster(cluster_id),
-                |a| {
-                    a.u64("index", member as u64);
-                    a.u64("cluster_size", cluster.members.len() as u64);
-                },
-            );
+impl Run<'_> {
+    /// Clusters `changes` and chooses the cut automatically by
+    /// maximising the mean silhouette coefficient (no threshold to
+    /// tune); the silhouette search reuses the distance matrix the
+    /// dendrogram was built from, so no pairwise distance is evaluated
+    /// twice.
+    ///
+    /// Records the clustering spans of
+    /// [`cluster_usage_changes_matrix_traced`], the `elicit.cut` and
+    /// `elicit.total` spans and the `elicit.clusters` counter. The trace
+    /// gets an `elicit` span around the whole stage, an `elicit.cut`
+    /// span, and one `cluster(<id>)` decision per change, where `<id>`
+    /// is the change's cluster index in the final (largest-first)
+    /// report order and the `index` attribute is its position in
+    /// `changes`.
+    pub fn elicit(&mut self, changes: &[MinedUsageChange]) -> Elicitation {
+        let clock = Stopwatch::start();
+        let stage_span = self.trace.begin_with("elicit", |a| {
+            a.u64("changes", changes.len() as u64);
+        });
+        let usage_changes: Vec<UsageChange> = changes.iter().map(|c| c.change.clone()).collect();
+        let (dendrogram, matrix) =
+            cluster_usage_changes_matrix_traced(&usage_changes, &mut self.metrics, &mut self.trace);
+        let cut_span = self.trace.begin("elicit.cut");
+        let members = self.metrics.time("elicit.cut", || {
+            dendrogram.best_cut(&matrix, usage_changes.len()).1
+        });
+        self.trace.end(cut_span);
+        let elicitation = build_elicitation(dendrogram, members, &usage_changes);
+        self.metrics
+            .inc("elicit.clusters", elicitation.clusters.len() as u64);
+        for (cluster_id, cluster) in elicitation.clusters.iter().enumerate() {
+            for &member in &cluster.members {
+                record_decision(
+                    &mut self.trace,
+                    &changes[member].meta,
+                    &DecisionReason::Cluster(cluster_id),
+                    |a| {
+                        a.u64("index", member as u64);
+                        a.u64("cluster_size", cluster.members.len() as u64);
+                    },
+                );
+            }
         }
+        self.trace.end(stage_span);
+        self.metrics.record_span("elicit.total", clock.elapsed());
+        elicitation
     }
-    trace.end(stage_span);
-    elicitation
 }
 
 fn build_elicitation(
@@ -169,7 +163,7 @@ mod tests {
         changes.extend(mined(&fixtures::ECB_TO_GCM, "Cipher"));
         changes.extend(mined(&fixtures::DEFAULT_AES_TO_CBC, "Cipher"));
         changes.extend(mined(&fixtures::SHA1_TO_SHA256, "MessageDigest"));
-        let auto = elicit_auto(&changes);
+        let auto = Run::new(1).elicit(&changes);
         // The silhouette-optimal cut separates the ECB family from the
         // digest fix. Memberships are pinned exactly: the silhouette
         // search now runs over the shared distance matrix, and this

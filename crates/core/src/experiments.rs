@@ -5,7 +5,7 @@
 
 use crate::elicit::{elicit, render_dendrogram, Elicitation};
 use crate::filter::{apply_filters, stage_changes, FilterStage, FilterStats};
-use crate::pipeline::{DiffCode, MinedUsageChange, MiningResult};
+use crate::pipeline::{DiffCode, MinedUsageChange, MiningResult, Run};
 use crate::report::Table;
 use analysis::TARGET_CLASSES;
 use corpus::Corpus;
@@ -32,15 +32,14 @@ impl Experiments {
         let threads = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        let mut metrics = obs::MetricsRegistry::new();
-        corpus::corpus_stats(&corpus).record(&mut metrics);
-        let mining =
-            crate::pipeline::mine_parallel_with_metrics(&corpus, &[], threads, &mut metrics);
+        let mut run = Run::new(threads);
+        corpus::corpus_stats(&corpus).record(&mut run.metrics);
+        let mining = run.mine(&corpus, &[]);
         Experiments {
             corpus,
             mining,
             pipeline: DiffCode::new(),
-            metrics,
+            metrics: run.metrics,
         }
     }
 

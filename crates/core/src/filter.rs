@@ -2,8 +2,9 @@
 //! in that order, with per-stage survivor counts (Figure 6).
 
 use crate::decision::{record_decision, DecisionReason};
-use crate::pipeline::MinedUsageChange;
-use obs::{MetricsRegistry, Stopwatch, TraceSink};
+use crate::pipeline::{MinedUsageChange, Run};
+use obs::{MetricsRegistry, Stopwatch};
+use std::collections::btree_map::Entry;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -50,16 +51,33 @@ impl FilterStats {
             && self.after_frem >= self.after_fdup
     }
 
-    /// Publishes the funnel as `filter.*` counters so metrics snapshots
-    /// reconcile exactly with Figure 6.
+    /// Publishes the funnel as the [`FILTER_FUNNEL`] counters so metrics
+    /// snapshots reconcile exactly with Figure 6.
     pub fn record(&self, registry: &mut MetricsRegistry) {
-        registry.inc("filter.total", self.total as u64);
-        registry.inc("filter.after_fsame", self.after_fsame as u64);
-        registry.inc("filter.after_fadd", self.after_fadd as u64);
-        registry.inc("filter.after_frem", self.after_frem as u64);
-        registry.inc("filter.after_fdup", self.after_fdup as u64);
+        let counts = [
+            self.total,
+            self.after_fsame,
+            self.after_fadd,
+            self.after_frem,
+            self.after_fdup,
+        ];
+        for (name, count) in FILTER_FUNNEL.iter().zip(counts) {
+            registry.inc(name, count as u64);
+        }
     }
 }
+
+/// The counter names of the mining → filtering funnel, in pipeline
+/// order. Shared by [`FilterStats::record`], the metrics report, the
+/// invariant check, and the CI snapshot checker (which re-implements
+/// the same chain over the JSON snapshot).
+pub const FILTER_FUNNEL: [&str; 5] = [
+    "filter.total",
+    "filter.after_fsame",
+    "filter.after_fadd",
+    "filter.after_frem",
+    "filter.after_fdup",
+];
 
 /// A dedup key: a 128-bit fingerprint of the usage change's class and
 /// feature sets.
@@ -70,15 +88,7 @@ impl FilterStats {
 /// halves are domain-separated, so a collision requires two distinct
 /// changes to collide under both keyed hashes at once (~2⁻¹²⁸ per
 /// pair) — negligible against corpus-scale dedup sets.
-pub type DupKey = (u64, u64);
-
-/// Caller-owned `fdup` state: each key maps to the *change fingerprint*
-/// ([`crate::pipeline::ChangeMeta::fingerprint`]) of its first
-/// occurrence, which is what a later duplicate's
-/// [`DecisionReason::DupOf`] decision names. (A plain set would suffice
-/// for staging alone; the map is what makes `dup_of(<fingerprint>)`
-/// provenance possible.)
-pub type SeenDups = BTreeMap<DupKey, String>;
+type DupKey = (u64, u64);
 
 fn dup_key(change: &MinedUsageChange) -> DupKey {
     let fields = (&change.class, &change.change.removed, &change.change.added);
@@ -90,191 +100,109 @@ fn dup_key(change: &MinedUsageChange) -> DupKey {
     (h1.finish(), h2.finish())
 }
 
-/// Tags every change with the stage that removes it, deduplicating
-/// within this call only. For batched mining where `fdup` must be
-/// consistent *across* batches (the paper dedups corpus-wide), use
-/// [`stage_changes_with_seen`] with one shared `seen` set.
-pub fn stage_changes(changes: &[MinedUsageChange]) -> Vec<(FilterStage, &MinedUsageChange)> {
-    stage_changes_with_seen(changes, &mut SeenDups::new())
+/// Tags every change with the stage that removes it, paired with the
+/// index of its first occurrence: the earlier change an `fdup` change
+/// duplicates, and the change's own index for every other stage.
+/// `fdup` is corpus-wide — every earlier change in `changes` counts.
+fn stages(changes: &[MinedUsageChange]) -> impl Iterator<Item = (FilterStage, usize)> + '_ {
+    let mut first: BTreeMap<DupKey, usize> = BTreeMap::new();
+    changes.iter().enumerate().map(move |(idx, c)| {
+        if c.change.is_same() {
+            (FilterStage::FSame, idx)
+        } else if c.change.is_pure_addition() {
+            (FilterStage::FAdd, idx)
+        } else if c.change.is_pure_removal() {
+            (FilterStage::FRem, idx)
+        } else {
+            match first.entry(dup_key(c)) {
+                Entry::Occupied(slot) => (FilterStage::FDup, *slot.get()),
+                Entry::Vacant(slot) => {
+                    slot.insert(idx);
+                    (FilterStage::Remaining, idx)
+                }
+            }
+        }
+    })
 }
 
-/// [`stage_changes`] with caller-owned dedup state: `seen` carries the
-/// `fdup` fingerprints forward, so staging several batches with the
-/// same map yields exactly the stages a single concatenated run would
-/// (a change is a duplicate if *any* earlier batch already produced
-/// its key).
-pub fn stage_changes_with_seen<'a>(
-    changes: &'a [MinedUsageChange],
-    seen: &mut SeenDups,
-) -> Vec<(FilterStage, &'a MinedUsageChange)> {
-    changes
-        .iter()
-        .map(|c| {
-            let stage = if c.change.is_same() {
-                FilterStage::FSame
-            } else if c.change.is_pure_addition() {
-                FilterStage::FAdd
-            } else if c.change.is_pure_removal() {
-                FilterStage::FRem
-            } else {
-                match seen.entry(dup_key(c)) {
-                    std::collections::btree_map::Entry::Occupied(_) => FilterStage::FDup,
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert(c.meta.fingerprint.clone());
-                        FilterStage::Remaining
-                    }
-                }
-            };
-            (stage, c)
-        })
+/// Tags every change with the stage that removes it.
+pub fn stage_changes(changes: &[MinedUsageChange]) -> Vec<(FilterStage, &MinedUsageChange)> {
+    stages(changes)
+        .zip(changes)
+        .map(|((stage, _), c)| (stage, c))
         .collect()
 }
 
 /// Applies the filters, returning the surviving changes and the
-/// per-stage statistics.
+/// per-stage statistics — [`Run::filter`] with the metrics discarded.
 pub fn apply_filters(changes: Vec<MinedUsageChange>) -> (Vec<MinedUsageChange>, FilterStats) {
-    apply_filters_with_seen(changes, &mut SeenDups::new())
+    Run::new(1).filter(&changes)
 }
 
-/// [`apply_filters`] with caller-owned `fdup` state (see
-/// [`stage_changes_with_seen`]): filtering shard outputs batch-by-batch
-/// with one shared `seen` keeps corpus-wide dedup identical to
-/// filtering the concatenated result in one call.
-pub fn apply_filters_with_seen(
-    changes: Vec<MinedUsageChange>,
-    seen: &mut SeenDups,
-) -> (Vec<MinedUsageChange>, FilterStats) {
-    let stages: Vec<FilterStage> = stage_changes_with_seen(&changes, seen)
-        .iter()
-        .map(|(stage, _)| *stage)
-        .collect();
-    split_staged(changes, &stages)
-}
-
-/// Folds staged changes into (survivors, funnel stats) — the single
-/// accounting path shared by the plain and traced filter entry points.
-fn split_staged(
-    changes: Vec<MinedUsageChange>,
-    stages: &[FilterStage],
-) -> (Vec<MinedUsageChange>, FilterStats) {
-    let mut stats = FilterStats {
-        total: changes.len(),
-        ..FilterStats::default()
-    };
-    let mut keep_set: Vec<bool> = vec![false; changes.len()];
-    for (idx, stage) in stages.iter().enumerate() {
-        match stage {
-            FilterStage::FSame => {}
-            FilterStage::FAdd => stats.after_fsame += 1,
-            FilterStage::FRem => {
-                stats.after_fsame += 1;
-                stats.after_fadd += 1;
+impl Run<'_> {
+    /// Applies the four filters to `changes`, cloning only the
+    /// survivors. Records the `filter.apply` span and the `filter.*`
+    /// funnel counters; with an enabled trace, also emits one decision
+    /// per change — `kept`,
+    /// `filtered(refactoring|pure_addition|pure_removal)`, or
+    /// `dup_of(<fingerprint>)` naming the first occurrence the
+    /// duplicate collapsed into — whose `index` attribute is the
+    /// change's position in `changes`.
+    pub fn filter(&mut self, changes: &[MinedUsageChange]) -> (Vec<MinedUsageChange>, FilterStats) {
+        let clock = Stopwatch::start();
+        let span = self.trace.begin_with("filter.apply", |a| {
+            a.u64("changes", changes.len() as u64);
+        });
+        let traced = self.trace.is_enabled();
+        let mut stats = FilterStats {
+            total: changes.len(),
+            ..FilterStats::default()
+        };
+        let mut kept = Vec::new();
+        for (idx, ((stage, first), change)) in stages(changes).zip(changes).enumerate() {
+            match stage {
+                FilterStage::FSame => {}
+                FilterStage::FAdd => stats.after_fsame += 1,
+                FilterStage::FRem => {
+                    stats.after_fsame += 1;
+                    stats.after_fadd += 1;
+                }
+                FilterStage::FDup => {
+                    stats.after_fsame += 1;
+                    stats.after_fadd += 1;
+                    stats.after_frem += 1;
+                }
+                FilterStage::Remaining => {
+                    stats.after_fsame += 1;
+                    stats.after_fadd += 1;
+                    stats.after_frem += 1;
+                    stats.after_fdup += 1;
+                    kept.push(change.clone());
+                }
             }
-            FilterStage::FDup => {
-                stats.after_fsame += 1;
-                stats.after_fadd += 1;
-                stats.after_frem += 1;
-            }
-            FilterStage::Remaining => {
-                stats.after_fsame += 1;
-                stats.after_fadd += 1;
-                stats.after_frem += 1;
-                stats.after_fdup += 1;
-                keep_set[idx] = true;
+            if traced {
+                let reason = match stage {
+                    FilterStage::FSame => DecisionReason::FilteredRefactoring,
+                    FilterStage::FAdd => DecisionReason::FilteredPureAddition,
+                    FilterStage::FRem => DecisionReason::FilteredPureRemoval,
+                    FilterStage::FDup => {
+                        DecisionReason::DupOf(changes[first].meta.fingerprint.clone())
+                    }
+                    FilterStage::Remaining => DecisionReason::Kept,
+                };
+                record_decision(&mut self.trace, &change.meta, &reason, |a| {
+                    a.u64("index", idx as u64);
+                    a.str("class", change.class.as_str());
+                });
             }
         }
+        debug_assert!(stats.is_monotone(), "filter funnel not monotone: {stats:?}");
+        self.trace.end(span);
+        self.metrics.record_span("filter.apply", clock.elapsed());
+        stats.record(&mut self.metrics);
+        debug_assert!(obs::check_funnel(&self.metrics, &FILTER_FUNNEL).is_ok());
+        (kept, stats)
     }
-    let kept: Vec<MinedUsageChange> = changes
-        .into_iter()
-        .zip(keep_set)
-        .filter_map(|(c, keep)| keep.then_some(c))
-        .collect();
-    debug_assert!(stats.is_monotone(), "filter funnel not monotone: {stats:?}");
-    debug_assert_eq!(
-        stats.after_fdup,
-        kept.len(),
-        "survivors must equal after_fdup"
-    );
-    (kept, stats)
-}
-
-/// [`apply_filters`] with stage observability: records the
-/// `filter.apply` timing span and the `filter.*` funnel counters into
-/// `registry`.
-pub fn apply_filters_with_metrics(
-    changes: Vec<MinedUsageChange>,
-    registry: &mut MetricsRegistry,
-) -> (Vec<MinedUsageChange>, FilterStats) {
-    let (kept, stats) = registry.time("filter.apply", || apply_filters(changes));
-    stats.record(registry);
-    debug_assert!(obs::check_funnel(
-        registry,
-        &[
-            "filter.total",
-            "filter.after_fsame",
-            "filter.after_fadd",
-            "filter.after_frem",
-            "filter.after_fdup",
-        ],
-    )
-    .is_ok());
-    (kept, stats)
-}
-
-/// [`apply_filters_with_metrics`] with caller-owned `fdup` state and
-/// structured tracing: wraps the stage in a `filter.apply` span and
-/// emits one decision event per usage change — `kept`,
-/// `filtered(refactoring|pure_addition|pure_removal)`, or
-/// `dup_of(<fingerprint>)` naming the first occurrence the duplicate
-/// collapsed into. The `index` attribute is the change's position in
-/// the filter input (offset by `index_base` so batched calls number
-/// changes corpus-wide).
-pub fn apply_filters_traced(
-    changes: Vec<MinedUsageChange>,
-    seen: &mut SeenDups,
-    registry: &mut MetricsRegistry,
-    trace: &mut TraceSink,
-    index_base: usize,
-) -> (Vec<MinedUsageChange>, FilterStats) {
-    let clock = Stopwatch::start();
-    let span = trace.begin_with("filter.apply", |a| {
-        a.u64("changes", changes.len() as u64);
-    });
-    let staged = stage_changes_with_seen(&changes, seen);
-    let mut stages: Vec<FilterStage> = Vec::with_capacity(staged.len());
-    for (idx, (stage, change)) in staged.iter().enumerate() {
-        stages.push(*stage);
-        let reason = match stage {
-            FilterStage::FSame => DecisionReason::FilteredRefactoring,
-            FilterStage::FAdd => DecisionReason::FilteredPureAddition,
-            FilterStage::FRem => DecisionReason::FilteredPureRemoval,
-            FilterStage::FDup => {
-                DecisionReason::DupOf(seen.get(&dup_key(change)).cloned().unwrap_or_default())
-            }
-            FilterStage::Remaining => DecisionReason::Kept,
-        };
-        record_decision(trace, &change.meta, &reason, |a| {
-            a.u64("index", (index_base + idx) as u64);
-            a.str("class", change.class.as_str());
-        });
-    }
-    drop(staged);
-    let (kept, stats) = split_staged(changes, &stages);
-    trace.end(span);
-    registry.record_span("filter.apply", clock.elapsed());
-    stats.record(registry);
-    debug_assert!(obs::check_funnel(
-        registry,
-        &[
-            "filter.total",
-            "filter.after_fsame",
-            "filter.after_fadd",
-            "filter.after_frem",
-            "filter.after_fdup",
-        ],
-    )
-    .is_ok());
-    (kept, stats)
 }
 
 #[cfg(test)]
@@ -401,86 +329,21 @@ mod tests {
     }
 
     #[test]
-    fn shared_seen_dedups_across_batches_like_one_run() {
-        let all = vec![
-            mk("Cipher", &["a"], &["b"]),
-            mk("Cipher", &["c"], &["d"]),
-            mk("Cipher", &["a"], &["b"]), // dup of batch 1's first
-            mk("Cipher", &["e"], &["f"]),
-            mk("Cipher", &["c"], &["d"]), // dup of batch 1's second
-        ];
-        let one_shot: Vec<FilterStage> = stage_changes(&all).iter().map(|(s, _)| *s).collect();
-
-        let mut seen = SeenDups::new();
-        let mut batched = Vec::new();
-        for batch in all.chunks(2) {
-            batched.extend(
-                stage_changes_with_seen(batch, &mut seen)
-                    .iter()
-                    .map(|(s, _)| *s),
-            );
-        }
-        assert_eq!(batched, one_shot);
-
-        // Fresh sets per batch would *not* reproduce the one-shot run —
-        // the cross-batch duplicates would survive.
-        let mut per_batch = Vec::new();
-        for batch in all.chunks(2) {
-            per_batch.extend(stage_changes(batch).iter().map(|(s, _)| *s));
-        }
-        assert_ne!(per_batch, one_shot, "test must exercise cross-batch dups");
-    }
-
-    #[test]
-    fn apply_filters_with_seen_matches_concatenated_run() {
-        let all = vec![
-            mk("Cipher", &["a"], &["b"]),
-            mk("Cipher", &[], &[]),
-            mk("Cipher", &["a"], &["b"]),
-            mk("Cipher", &["c"], &["d"]),
-            mk("Cipher", &["a"], &["b"]),
-        ];
-        let (kept_once, stats_once) = apply_filters(all.clone());
-
-        let mut seen = SeenDups::new();
-        let mut kept_batched = Vec::new();
-        let mut totals = FilterStats::default();
-        for batch in all.chunks(2) {
-            let (kept, stats) = apply_filters_with_seen(batch.to_vec(), &mut seen);
-            kept_batched.extend(kept);
-            totals.total += stats.total;
-            totals.after_fsame += stats.after_fsame;
-            totals.after_fadd += stats.after_fadd;
-            totals.after_frem += stats.after_frem;
-            totals.after_fdup += stats.after_fdup;
-        }
-        assert_eq!(kept_batched, kept_once);
-        assert_eq!(totals, stats_once);
-    }
-
-    #[test]
-    fn metrics_variant_publishes_the_funnel() {
+    fn run_filter_publishes_the_funnel() {
         let changes = vec![
             mk("Cipher", &[], &[]),
             mk("Cipher", &["a"], &["b"]),
             mk("Cipher", &["a"], &["b"]),
         ];
-        let mut reg = obs::MetricsRegistry::new();
-        let (kept, stats) = apply_filters_with_metrics(changes, &mut reg);
+        let mut run = Run::new(1);
+        let (kept, stats) = run.filter(&changes);
         assert_eq!(kept.len(), 1);
-        assert_eq!(reg.counter("filter.total"), stats.total as u64);
-        assert_eq!(reg.counter("filter.after_fdup"), stats.after_fdup as u64);
-        assert!(reg.span("filter.apply").is_some());
-        obs::check_funnel(
-            &reg,
-            &[
-                "filter.total",
-                "filter.after_fsame",
-                "filter.after_fadd",
-                "filter.after_frem",
-                "filter.after_fdup",
-            ],
-        )
-        .unwrap();
+        assert_eq!(run.metrics.counter("filter.total"), stats.total as u64);
+        assert_eq!(
+            run.metrics.counter("filter.after_fdup"),
+            stats.after_fdup as u64
+        );
+        assert!(run.metrics.span("filter.apply").is_some());
+        obs::check_funnel(&run.metrics, &FILTER_FUNNEL).unwrap();
     }
 }

@@ -3,17 +3,20 @@
 //! A Rust reproduction of the PLDI'18 paper *"Inferring Crypto API
 //! Rules from Code Changes"* (Paletov, Tsankov, Raychev, Vechev).
 //!
-//! The pipeline (paper Figure 1):
+//! The pipeline (paper Figure 1) is one [`Run`]: its threads, optional
+//! result cache and cancel flag, and its own metrics registry and trace
+//! sink. [`Run::funnel`] composes the stages:
 //!
 //! 1. **Mine** code changes from a corpus of Java projects
-//!    ([`DiffCode::mine`], corpus provided by the [`corpus`] crate).
+//!    ([`Run::mine`], corpus provided by the [`corpus`] crate).
 //! 2. **Abstract** each change into semantic *usage changes* via a
 //!    lightweight AST-based static analysis ([`analysis`]) and
 //!    depth-bounded usage DAGs ([`usagegraph`]).
 //! 3. **Filter** non-semantic changes — refactorings, pure additions/
-//!    removals, duplicates ([`filter::apply_filters`]).
+//!    removals, duplicates ([`Run::filter`]).
 //! 4. **Cluster** the survivors hierarchically and **elicit** security
-//!    rules ([`elicit::elicit`], [`rules`]).
+//!    rules at the silhouette-optimal cut ([`Run::elicit`]; Figure 8's
+//!    fixed-threshold cut is [`elicit::elicit`]).
 //! 5. **Check** projects against the elicited rules with CryptoChecker
 //!    ([`rules::CryptoChecker`]).
 //!
@@ -53,21 +56,15 @@ pub mod report;
 pub mod shutdown;
 
 pub use decision::{DecisionReason, DECISION_EVENT};
-pub use elicit::{
-    elicit, elicit_auto, elicit_auto_traced, render_dendrogram, ClusterReport, Elicitation,
-};
+pub use elicit::{elicit, render_dendrogram, ClusterReport, Elicitation};
 pub use experiments::{
     figure9_table, Experiments, Figure10Output, Figure6Row, Figure7Cell, Figure7Row, Figure8Output,
 };
-pub use filter::{
-    apply_filters, apply_filters_traced, apply_filters_with_metrics, apply_filters_with_seen,
-    stage_changes, stage_changes_with_seen, DupKey, FilterStage, FilterStats, SeenDups,
-};
+pub use filter::{apply_filters, stage_changes, FilterStage, FilterStats, FILTER_FUNNEL};
 pub use mcache::{CachedLookup, ChangeOutcome, MiningCache, MiningCacheView, ANALYSIS_VERSION};
 pub use pipeline::{
-    change_fingerprint, mine_parallel, mine_parallel_cached, mine_parallel_interruptible,
-    mine_parallel_traced, mine_parallel_with_metrics, ChangeMeta, DiffCode, MinedUsageChange,
-    MiningResult, MiningStats,
+    change_fingerprint, mine_parallel, mine_parallel_cached, ChangeMeta, DiffCode, Funnel,
+    MinedUsageChange, MiningResult, MiningStats, Run,
 };
 pub use quarantine::{ErrorKind, PipelineError, PipelineLimits, QuarantineReport, SkipCounters};
 pub use report::{display_width, Table};

@@ -9,6 +9,8 @@
 //! [`QuarantineReport`] carrying provenance.
 
 use crate::decision::{record_decision, DecisionReason};
+use crate::elicit::Elicitation;
+use crate::filter::FilterStats;
 use crate::mcache::{CachedLookup, ChangeOutcome, MiningCache, MiningCacheView};
 use crate::quarantine::{
     excerpt, ErrorKind, PipelineError, PipelineLimits, QuarantineReport, SkipCounters,
@@ -186,8 +188,8 @@ impl DiffCode {
     }
 
     /// Takes the accumulated registry, leaving an empty one — how
-    /// [`mine_parallel_with_metrics`] collects per-shard metrics from
-    /// worker pipelines on join.
+    /// [`Run::mine`] collects per-shard metrics from worker pipelines
+    /// on join.
     pub fn take_metrics(&mut self) -> MetricsRegistry {
         std::mem::take(&mut self.metrics)
     }
@@ -206,8 +208,8 @@ impl DiffCode {
     }
 
     /// Takes the accumulated trace, leaving a disabled sink — how
-    /// [`mine_parallel_traced`] collects per-shard traces from worker
-    /// pipelines on join.
+    /// [`Run::mine`] collects per-shard traces from worker pipelines on
+    /// join.
     pub fn take_trace(&mut self) -> TraceSink {
         std::mem::replace(&mut self.trace, TraceSink::disabled())
     }
@@ -667,7 +669,7 @@ fn chaos_panic_marker() -> Option<String> {
 /// Companion hook for shard-level faults: when
 /// `DIFFCODE_CHAOS_SHARD_PANIC_PROJECT` names a project in the corpus,
 /// [`DiffCode::mine`] panics *before* entering the per-change isolation
-/// loop — exercising [`mine_parallel`]'s thread-join degradation path.
+/// loop — exercising [`Run::mine`]'s thread-join degradation path.
 fn chaos_shard_panic_project() -> Option<String> {
     std::env::var("DIFFCODE_CHAOS_SHARD_PANIC_PROJECT")
         .ok()
@@ -675,44 +677,16 @@ fn chaos_shard_panic_project() -> Option<String> {
 }
 
 /// Mines `corpus` using one [`DiffCode`] per worker thread, sharding by
-/// project. The result is identical to [`DiffCode::mine`] — shards are
-/// contiguous project runs concatenated in project order — but
-/// wall-clock scales with cores. Shard boundaries balance the number of
-/// *code changes* per shard rather than the number of projects: mining
-/// cost is driven by how many old/new file pairs a shard parses, and
-/// real corpora are heavily skewed (a handful of projects contribute
-/// most commits), so equal-project chunks leave most threads idle
-/// behind the one that drew the giant project.
+/// project — [`Run::mine`] with no cache, no cancel flag and the
+/// metrics discarded.
 pub fn mine_parallel(corpus: &Corpus, classes: &[&str], n_threads: usize) -> MiningResult {
-    mine_parallel_with_metrics(corpus, classes, n_threads, &mut MetricsRegistry::new())
+    Run::new(n_threads).mine(corpus, classes)
 }
 
-/// [`mine_parallel`] with stage observability: each worker pipeline
-/// accumulates its own [`MetricsRegistry`] (no locks on the hot path)
-/// and the per-shard registries are merged into `registry` on join —
-/// counters add, `mine.change` span aggregates fold together. A shard
-/// whose worker died contributes its all-skipped accounting plus a
-/// `mine.shard_failures` increment.
-pub fn mine_parallel_with_metrics(
-    corpus: &Corpus,
-    classes: &[&str],
-    n_threads: usize,
-    registry: &mut MetricsRegistry,
-) -> MiningResult {
-    mine_parallel_cached(corpus, classes, n_threads, registry, None)
-}
-
-/// [`mine_parallel_with_metrics`] with an optional persistent result
-/// cache. Every worker thread gets a read-only view of the cache's
-/// loaded index plus its own append log — no locks on the hot path —
-/// and the logs are merged back into the store on join, in shard
-/// order, so the flushed file is deterministic. A shard whose worker
-/// died never gets its log absorbed: its changes were folded in as
-/// skips, and caching half-finished outcomes from a dead worker would
-/// let a warm run disagree with the cold one.
-///
-/// Absorbed entries live in memory until the caller invokes
-/// [`MiningCache::flush`]; this function does no I/O.
+/// [`Run::mine`] through an optional persistent result cache, merging
+/// the run's metrics into `registry`. Absorbed cache entries live in
+/// memory until the caller invokes [`MiningCache::flush`]; this
+/// function does no I/O.
 pub fn mine_parallel_cached(
     corpus: &Corpus,
     classes: &[&str],
@@ -720,155 +694,232 @@ pub fn mine_parallel_cached(
     registry: &mut MetricsRegistry,
     cache: Option<&mut MiningCache>,
 ) -> MiningResult {
-    mine_parallel_traced(
-        corpus,
-        classes,
-        n_threads,
-        registry,
+    let mut run = Run {
         cache,
-        &mut TraceSink::disabled(),
-    )
+        ..Run::new(n_threads)
+    };
+    let result = run.mine(corpus, classes);
+    registry.merge(&run.metrics);
+    result
 }
 
-/// [`mine_parallel_cached`] with structured tracing: each worker shard
-/// records into its own [`TraceSink`] (same no-locks discipline as the
-/// per-shard registries), and the shard sinks are absorbed into `trace`
-/// on join, **in shard order** — each shard becomes its own lane, so a
-/// parallel trace is the sequential trace's events re-grouped by lane,
-/// with identical decision events per change. A shard whose worker died
-/// contributes no lane; its changes' quarantine decisions are emitted
-/// into the orchestrator's own lane so the one-decision-per-change
-/// completeness invariant survives worker loss.
-pub fn mine_parallel_traced(
-    corpus: &Corpus,
-    classes: &[&str],
-    n_threads: usize,
-    registry: &mut MetricsRegistry,
-    cache: Option<&mut MiningCache>,
-    trace: &mut TraceSink,
-) -> MiningResult {
-    mine_parallel_interruptible(corpus, classes, n_threads, registry, cache, trace, None)
+/// One pass through the paper's Figure 1 funnel: mine → filter
+/// (`fsame`/`fadd`/`frem`/`fdup`) → cluster → elicit.
+///
+/// Everything that varies between callers is data on the run — worker
+/// threads, an optional result cache, an optional cancel flag — and
+/// every stage records into the run's own [`MetricsRegistry`] and
+/// [`TraceSink`], so metrics and tracing are never separate entry
+/// points. The stages are [`Run::mine`], [`Run::filter`] and
+/// [`Run::elicit`]; [`Run::funnel`] composes them.
+///
+/// ```
+/// let corpus = corpus::generate(&corpus::GeneratorConfig::small(2, 7));
+/// let mut run = diffcode::Run::new(2);
+/// let funnel = run.funnel(&corpus, true);
+/// assert!(funnel.mined.stats.is_balanced());
+/// assert_eq!(
+///     run.metrics.counter("filter.total"),
+///     funnel.mined.changes.len() as u64
+/// );
+/// ```
+#[derive(Debug)]
+pub struct Run<'c> {
+    /// Mining worker threads (clamped to `1..=projects`).
+    pub threads: usize,
+    /// A look-aside result cache. Every worker reads the loaded index
+    /// and appends to its own log; the logs are absorbed into the
+    /// cache in shard order after mining, and the caller flushes.
+    pub cache: Option<&'c mut MiningCache>,
+    /// Cooperative cancellation: once the flag reads `true`, every
+    /// mining worker stops between code changes and the partial
+    /// results merge normally. `None` runs to completion.
+    pub cancel: Option<&'static AtomicBool>,
+    /// Counters and timing spans of every stage this run executed.
+    pub metrics: MetricsRegistry,
+    /// The run's trace. Disabled unless the caller installs an enabled
+    /// sink; a disabled sink costs one branch per instrumentation point.
+    pub trace: TraceSink,
 }
 
-/// [`mine_parallel_traced`] with an optional cooperative cancellation
-/// flag, propagated to every worker pipeline: once the flag reads
-/// `true`, each shard stops between code changes and the partial
-/// results merge normally — shard logs are absorbed, the accounting
-/// balances over what was actually processed, and nothing in flight is
-/// abandoned mid-change. This is the Ctrl-C path for one-shot
-/// `diffcode mine`; a `None` flag is exactly [`mine_parallel_traced`].
-pub fn mine_parallel_interruptible(
-    corpus: &Corpus,
-    classes: &[&str],
-    n_threads: usize,
-    registry: &mut MetricsRegistry,
-    cache: Option<&mut MiningCache>,
-    trace: &mut TraceSink,
-    cancel: Option<&'static AtomicBool>,
-) -> MiningResult {
-    let trace_config = trace.config();
-    let n_threads = n_threads.max(1).min(corpus.projects.len().max(1));
-    if n_threads <= 1 {
-        let mut view = cache.as_ref().map(|c| c.view());
-        let mut dc = DiffCode::new();
-        dc.set_trace(TraceSink::from_config(trace_config));
-        if let Some(flag) = cancel {
-            dc.set_cancel_flag(flag);
-        }
-        let result = dc.mine_cached(corpus, classes, view.as_mut());
-        registry.merge(&dc.take_metrics());
-        trace.absorb(dc.take_trace());
-        let log = view.map(MiningCacheView::into_log);
-        if let (Some(cache), Some(log)) = (cache, log) {
-            cache.absorb(log);
-        }
-        return result;
-    }
-    let shards = shard_by_code_changes(corpus, n_threads);
-    // Immutable reborrow for the workers; the mutable handle is used
-    // again only after the scope ends and every view is consumed.
-    let shared: Option<&MiningCache> = cache.as_deref();
-    type ShardOutcome = (
-        MiningResult,
-        MetricsRegistry,
-        Option<cache::ShardLog>,
-        Option<TraceSink>,
-    );
-    let results: Vec<ShardOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                let mut view = shared.map(|c| c.view());
-                (
-                    shard,
-                    scope.spawn(move || {
-                        let mut dc = DiffCode::new();
-                        dc.set_trace(TraceSink::from_config(trace_config));
-                        if let Some(flag) = cancel {
-                            dc.set_cancel_flag(flag);
-                        }
-                        let result = dc.mine_cached(shard, classes, view.as_mut());
-                        (
-                            result,
-                            dc.take_metrics(),
-                            view.map(MiningCacheView::into_log),
-                            Some(dc.take_trace()),
-                        )
-                    }),
-                )
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(shard, handle)| match handle.join() {
-                Ok(outcome) => outcome,
-                // A worker died outside the per-change isolation (mine
-                // itself never panics on input). Fold the shard in as
-                // all-skipped so sibling shards' results survive and
-                // the merged accounting still balances; its in-flight
-                // metrics died with the thread, so rebuild the counters
-                // the accounting requires from the skip totals. The
-                // shard's cache log died with it too — deliberately.
-                Err(payload) => {
-                    let result = shard_failure_result(shard, &panic_message(payload), trace);
-                    let mut shard_metrics = MetricsRegistry::new();
-                    shard_metrics.inc("mine.shard_failures", 1);
-                    shard_metrics.inc("mine.code_changes", result.stats.code_changes as u64);
-                    shard_metrics.inc("mine.mined", 0);
-                    result.stats.skipped.record(&mut shard_metrics);
-                    (result, shard_metrics, None, None)
-                }
-            })
-            .collect()
-    });
-    let mut merged = MiningResult::default();
-    let mut logs = Vec::new();
-    for (result, shard_metrics, log, shard_trace) in results {
-        merged.stats.code_changes += result.stats.code_changes;
-        merged.stats.parse_failures += result.stats.parse_failures;
-        merged.stats.mined += result.stats.mined;
-        merged.stats.skipped.absorb(&result.stats.skipped);
-        merged.changes.extend(result.changes);
-        merged.quarantine.extend(result.quarantine);
-        registry.merge(&shard_metrics);
-        logs.extend(log);
-        if let Some(shard_trace) = shard_trace {
-            trace.absorb(shard_trace);
+/// What [`Run::funnel`] produced.
+#[derive(Debug)]
+pub struct Funnel {
+    /// The mining result, every usage change included.
+    pub mined: MiningResult,
+    /// The filter survivors and per-stage counts; `None` when the run
+    /// only mined.
+    pub filtered: Option<(Vec<MinedUsageChange>, FilterStats)>,
+    /// The clusters; `None` when the run only mined or fewer than two
+    /// changes survived the filters.
+    pub elicitation: Option<Elicitation>,
+}
+
+impl<'c> Run<'c> {
+    /// A run on `threads` workers with no cache, no cancel flag, an
+    /// empty registry and a disabled trace.
+    pub fn new(threads: usize) -> Self {
+        Run {
+            threads,
+            cache: None,
+            cancel: None,
+            metrics: MetricsRegistry::new(),
+            trace: TraceSink::disabled(),
         }
     }
-    if let Some(cache) = cache {
-        for log in logs {
-            cache.absorb(log);
+
+    /// `true` when the cancel flag stopped mining before the corpus was
+    /// exhausted (some worker counted `mine.interrupted`).
+    pub fn interrupted(&self) -> bool {
+        self.metrics.counter("mine.interrupted") > 0
+    }
+
+    /// Mines `corpus` and, when `cluster` is set, filters the mined
+    /// changes and clusters the survivors (at least two are needed to
+    /// cluster). The filters read the mined changes by reference and
+    /// clone only the survivors.
+    pub fn funnel(&mut self, corpus: &Corpus, cluster: bool) -> Funnel {
+        let mined = self.mine(corpus, &[]);
+        if !cluster {
+            return Funnel {
+                mined,
+                filtered: None,
+                elicitation: None,
+            };
+        }
+        let (kept, stats) = self.filter(&mined.changes);
+        let elicitation = (kept.len() >= 2).then(|| self.elicit(&kept));
+        Funnel {
+            mined,
+            filtered: Some((kept, stats)),
+            elicitation,
         }
     }
-    debug_assert!(merged.stats.is_balanced());
-    debug_assert!(obs::check_partition(
-        registry,
-        "mine.code_changes",
-        &["mine.mined", "mine.skipped"]
-    )
-    .is_ok());
-    merged
+
+    /// Mines `corpus` with one [`DiffCode`] per worker thread, sharding
+    /// by project. The result is identical to [`DiffCode::mine`] —
+    /// shards are contiguous project runs concatenated in project
+    /// order — but wall-clock scales with cores. Shard boundaries
+    /// balance the number of *code changes* per shard rather than the
+    /// number of projects: mining cost is driven by how many old/new
+    /// file pairs a shard parses, and real corpora are heavily skewed.
+    ///
+    /// Each worker records into its own registry and trace sink (no
+    /// locks on the hot path); both are absorbed into the run's **in
+    /// shard order**, so a parallel trace is the sequential trace's
+    /// events re-grouped by lane. A shard whose worker died contributes
+    /// its all-skipped accounting, a `mine.shard_failures` increment
+    /// and its quarantine decisions in the run's own lane; its cache
+    /// log is never absorbed, because caching a dead worker's
+    /// half-finished outcomes would let a warm run disagree with the
+    /// cold one.
+    pub fn mine(&mut self, corpus: &Corpus, classes: &[&str]) -> MiningResult {
+        let trace_config = self.trace.config();
+        let cancel = self.cancel;
+        let worker = move || {
+            let mut dc = DiffCode::new();
+            dc.set_trace(TraceSink::from_config(trace_config));
+            if let Some(flag) = cancel {
+                dc.set_cancel_flag(flag);
+            }
+            dc
+        };
+        let n_threads = self.threads.max(1).min(corpus.projects.len().max(1));
+        if n_threads <= 1 {
+            let mut view = self.cache.as_ref().map(|c| c.view());
+            let mut dc = worker();
+            let result = dc.mine_cached(corpus, classes, view.as_mut());
+            self.metrics.merge(&dc.take_metrics());
+            self.trace.absorb(dc.take_trace());
+            let log = view.map(MiningCacheView::into_log);
+            if let (Some(cache), Some(log)) = (self.cache.as_deref_mut(), log) {
+                cache.absorb(log);
+            }
+            return result;
+        }
+        let shards = shard_by_code_changes(corpus, n_threads);
+        // Immutable reborrow for the workers; the mutable handle is used
+        // again only after the scope ends and every view is consumed.
+        let shared: Option<&MiningCache> = self.cache.as_deref();
+        let trace = &mut self.trace;
+        type ShardOutcome = (
+            MiningResult,
+            MetricsRegistry,
+            Option<cache::ShardLog>,
+            Option<TraceSink>,
+        );
+        let results: Vec<ShardOutcome> = std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .iter()
+                .map(|shard| {
+                    let mut view = shared.map(|c| c.view());
+                    (
+                        shard,
+                        scope.spawn(move || {
+                            let mut dc = worker();
+                            let result = dc.mine_cached(shard, classes, view.as_mut());
+                            (
+                                result,
+                                dc.take_metrics(),
+                                view.map(MiningCacheView::into_log),
+                                Some(dc.take_trace()),
+                            )
+                        }),
+                    )
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|(shard, handle)| match handle.join() {
+                    Ok(outcome) => outcome,
+                    // A worker died outside the per-change isolation (mine
+                    // itself never panics on input). Fold the shard in as
+                    // all-skipped so sibling shards' results survive and
+                    // the merged accounting still balances; its in-flight
+                    // metrics died with the thread, so rebuild the counters
+                    // the accounting requires from the skip totals. The
+                    // shard's cache log died with it too — deliberately.
+                    Err(payload) => {
+                        let result = shard_failure_result(shard, &panic_message(payload), trace);
+                        let mut shard_metrics = MetricsRegistry::new();
+                        shard_metrics.inc("mine.shard_failures", 1);
+                        shard_metrics.inc("mine.code_changes", result.stats.code_changes as u64);
+                        shard_metrics.inc("mine.mined", 0);
+                        result.stats.skipped.record(&mut shard_metrics);
+                        (result, shard_metrics, None, None)
+                    }
+                })
+                .collect()
+        });
+        let mut merged = MiningResult::default();
+        let mut logs = Vec::new();
+        for (result, shard_metrics, log, shard_trace) in results {
+            merged.stats.code_changes += result.stats.code_changes;
+            merged.stats.parse_failures += result.stats.parse_failures;
+            merged.stats.mined += result.stats.mined;
+            merged.stats.skipped.absorb(&result.stats.skipped);
+            merged.changes.extend(result.changes);
+            merged.quarantine.extend(result.quarantine);
+            self.metrics.merge(&shard_metrics);
+            logs.extend(log);
+            if let Some(shard_trace) = shard_trace {
+                self.trace.absorb(shard_trace);
+            }
+        }
+        if let Some(cache) = self.cache.as_deref_mut() {
+            for log in logs {
+                cache.absorb(log);
+            }
+        }
+        debug_assert!(merged.stats.is_balanced());
+        debug_assert!(obs::check_partition(
+            &self.metrics,
+            "mine.code_changes",
+            &["mine.mined", "mine.skipped"]
+        )
+        .is_ok());
+        merged
+    }
 }
 
 /// The accounting for a shard whose worker thread panicked before
@@ -1234,19 +1285,19 @@ mod tests {
         );
         assert!(result.stats.is_balanced());
 
-        let mut registry = MetricsRegistry::new();
-        let partial = mine_parallel_interruptible(
-            &corpus,
-            &[],
-            2,
-            &mut registry,
-            None,
-            &mut TraceSink::disabled(),
-            Some(&FLAG),
-        );
+        // The parallel path: every worker sees the flag before its
+        // first change, and the merged shards still balance.
+        let mut run = Run {
+            cancel: Some(&FLAG),
+            ..Run::new(4)
+        };
+        let partial = run.mine(&corpus, &[]);
         assert_eq!(partial.stats.code_changes, 0);
         assert!(partial.stats.is_balanced());
-        assert!(registry.counter("mine.interrupted") > 0);
+        let shards = shard_by_code_changes(&corpus, 4).len() as u64;
+        assert!(shards > 1, "the corpus must take the parallel path");
+        assert_eq!(run.metrics.counter("mine.interrupted"), shards);
+        assert!(run.interrupted());
     }
 
     #[test]

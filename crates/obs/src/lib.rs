@@ -258,40 +258,6 @@ pub fn check_partition(
     Ok(())
 }
 
-/// Checks that the `hit` counter accounts for at least `min_rate` of
-/// all lookups (`hit / (hit + Σ parts)`, where `parts` are the non-hit
-/// outcomes: miss, stale, …) — the warm-cache CI gate invariant. Zero
-/// lookups passes: an empty run has no hit rate to violate.
-///
-/// # Errors
-///
-/// Reports the achieved rate and every counter that went into it.
-pub fn check_hit_rate(
-    registry: &MetricsRegistry,
-    hit: &str,
-    parts: &[&str],
-    min_rate: f64,
-) -> Result<(), String> {
-    let hits = registry.counter(hit);
-    let others: u64 = parts.iter().map(|p| registry.counter(p)).sum();
-    let total = hits + others;
-    if total == 0 {
-        return Ok(());
-    }
-    let rate = hits as f64 / total as f64;
-    if rate < min_rate {
-        let breakdown: Vec<String> = parts
-            .iter()
-            .map(|p| format!("{p} = {}", registry.counter(p)))
-            .collect();
-        return Err(format!(
-            "hit rate violated: {hit} = {hits} of {total} lookups ({rate:.3} < {min_rate:.3}; {})",
-            breakdown.join(", ")
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,22 +390,5 @@ mod tests {
         check_partition(&reg, "total", &["p1", "p2"]).unwrap();
         reg.inc("p2", 1);
         assert!(check_partition(&reg, "total", &["p1", "p2"]).is_err());
-    }
-
-    #[test]
-    fn hit_rate_check() {
-        // No lookups at all: nothing to violate.
-        check_hit_rate(&MetricsRegistry::new(), "c.hit", &["c.miss"], 0.95).unwrap();
-
-        let mut reg = MetricsRegistry::new();
-        reg.inc("c.hit", 97);
-        reg.inc("c.miss", 2);
-        reg.inc("c.stale", 1);
-        check_hit_rate(&reg, "c.hit", &["c.miss", "c.stale"], 0.95).unwrap();
-
-        reg.inc("c.miss", 10);
-        let err = check_hit_rate(&reg, "c.hit", &["c.miss", "c.stale"], 0.95).unwrap_err();
-        assert!(err.contains("c.hit = 97"), "{err}");
-        assert!(err.contains("c.miss = 12"), "{err}");
     }
 }

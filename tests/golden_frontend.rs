@@ -15,8 +15,8 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_frontend
 //! ```
 
-use diffcode::cli::{run_mine, run_mine_traced, MineSource};
-use diffcode::DECISION_EVENT;
+use diffcode::cli::{mine_report, run_mine, MineSource};
+use diffcode::{Run, DECISION_EVENT};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -62,8 +62,14 @@ fn decision_trace_matches_prerefactor_golden() {
         seed: SEED,
         n_projects: PROJECTS,
     };
-    let (_, _, trace) =
-        run_mine_traced(&source, THREADS, None, false, 1).expect("traced mine runs");
+    // The golden covers every stage that rules on a change: mining,
+    // filtering and clustering.
+    let mut run = Run {
+        trace: obs::TraceSink::enabled(1),
+        ..Run::new(THREADS)
+    };
+    mine_report(&source, &mut run, true).expect("traced mine runs");
+    let trace = run.trace;
     let mut lines = String::new();
     for event in trace.events() {
         if trace.name(event.name) != DECISION_EVENT {

@@ -1,13 +1,10 @@
 //! Observability integration tests: the metrics registry must exactly
-//! reconcile with the pipeline's own statistics, sharded mining plus
-//! filtering must dedup identically to a sequential run, and the JSON
-//! snapshot must carry the full funnel.
+//! reconcile with the pipeline's own statistics, parallel and
+//! sequential mining must count the same events, and the JSON snapshot
+//! must carry the full funnel.
 
 use corpus::{generate, GeneratorConfig};
-use diffcode::{
-    apply_filters, apply_filters_with_metrics, apply_filters_with_seen, mine_parallel_with_metrics,
-    DiffCode, ErrorKind,
-};
+use diffcode::{DiffCode, ErrorKind, Run, FILTER_FUNNEL};
 use obs::MetricsRegistry;
 
 const SEED: u64 = 7;
@@ -20,50 +17,16 @@ fn corpus_under_test() -> corpus::Corpus {
     })
 }
 
-/// Sharded mining + per-shard filtering with a shared dedup set keeps
-/// exactly the same changes as mining and filtering in one sequential
-/// pass. This is the bug the `stage_changes_with_seen` split fixes:
-/// without shared `seen` state, fdup only dedups within a shard.
-#[test]
-fn sharded_filtering_with_shared_seen_matches_sequential() {
-    let corpus = corpus_under_test();
-
-    // Ground truth: one sequential mine + one-shot filtering.
-    let sequential = DiffCode::new().mine(&corpus, &[]);
-    let (kept_seq, stats_seq) = apply_filters(sequential.changes.clone());
-
-    // Sharded: parallel mine, then filter the merged stream in batches
-    // (as a shard-streaming consumer would) with one shared seen-set.
-    let mut registry = MetricsRegistry::new();
-    let parallel = mine_parallel_with_metrics(&corpus, &[], 4, &mut registry);
-    assert_eq!(
-        parallel.changes, sequential.changes,
-        "mining must be shard-invariant"
-    );
-
-    let mut seen = diffcode::SeenDups::new();
-    let mut kept_batched = Vec::new();
-    let mut total_after_fdup = 0;
-    for batch in parallel.changes.chunks(3) {
-        let (kept, stats) = apply_filters_with_seen(batch.to_vec(), &mut seen);
-        total_after_fdup += stats.after_fdup;
-        kept_batched.extend(kept);
-    }
-    assert_eq!(
-        kept_batched, kept_seq,
-        "batched filtering must dedup like one pass"
-    );
-    assert_eq!(total_after_fdup, stats_seq.after_fdup);
-}
-
 /// Every counter the pipeline publishes must equal the corresponding
 /// `MiningStats` / `FilterStats` field — the report and the stats are
 /// two views of one run, never two bookkeeping systems drifting apart.
 #[test]
 fn metrics_counters_reconcile_with_pipeline_stats() {
     let corpus = corpus_under_test();
-    let mut registry = MetricsRegistry::new();
-    let result = mine_parallel_with_metrics(&corpus, &[], 4, &mut registry);
+    let mut run = Run::new(4);
+    let result = run.mine(&corpus, &[]);
+    let (kept, stats) = run.filter(&result.changes);
+    let registry = run.metrics;
 
     assert_eq!(
         registry.counter("mine.code_changes"),
@@ -93,7 +56,6 @@ fn metrics_counters_reconcile_with_pipeline_stats() {
     )
     .is_ok());
 
-    let (kept, stats) = apply_filters_with_metrics(result.changes, &mut registry);
     assert_eq!(registry.counter("filter.total"), stats.total as u64);
     assert_eq!(
         registry.counter("filter.after_fsame"),
@@ -108,17 +70,7 @@ fn metrics_counters_reconcile_with_pipeline_stats() {
         stats.after_frem as u64
     );
     assert_eq!(registry.counter("filter.after_fdup"), kept.len() as u64);
-    assert!(obs::check_funnel(
-        &registry,
-        &[
-            "filter.total",
-            "filter.after_fsame",
-            "filter.after_fadd",
-            "filter.after_frem",
-            "filter.after_fdup"
-        ],
-    )
-    .is_ok());
+    assert!(obs::check_funnel(&registry, &FILTER_FUNNEL).is_ok());
 }
 
 /// Parallel mining merges per-shard registries; the merged counters
@@ -132,8 +84,9 @@ fn parallel_and_sequential_registries_agree_on_counts() {
     let _ = dc.mine(&corpus, &[]);
     let sequential = dc.take_metrics();
 
-    let mut parallel = MetricsRegistry::new();
-    let _ = mine_parallel_with_metrics(&corpus, &[], 4, &mut parallel);
+    let mut run = Run::new(4);
+    let _ = run.mine(&corpus, &[]);
+    let parallel = run.metrics;
 
     let seq_counters: Vec<_> = sequential.counters().collect();
     let par_counters: Vec<_> = parallel.counters().collect();
@@ -150,19 +103,13 @@ fn parallel_and_sequential_registries_agree_on_counts() {
 #[test]
 fn json_snapshot_carries_the_funnel() {
     let corpus = corpus_under_test();
-    let mut registry = MetricsRegistry::new();
-    let result = mine_parallel_with_metrics(&corpus, &[], 2, &mut registry);
-    let (_, _) = apply_filters_with_metrics(result.changes, &mut registry);
+    let mut run = Run::new(2);
+    let result = run.mine(&corpus, &[]);
+    let _ = run.filter(&result.changes);
 
-    let json = registry.to_json();
+    let json = run.metrics.to_json();
     assert!(json.contains("\"version\": 2"), "{json}");
-    for stage in [
-        "filter.total",
-        "filter.after_fsame",
-        "filter.after_fadd",
-        "filter.after_frem",
-        "filter.after_fdup",
-    ] {
+    for stage in FILTER_FUNNEL {
         assert!(
             json.contains(&format!("\"{stage}\":")),
             "snapshot missing {stage}"
@@ -189,7 +136,7 @@ fn json_snapshot_carries_the_funnel() {
 /// exactly the histogram of recording them all in one registry. (The
 /// wall-clock spans of a parallel mining run differ run to run, so the
 /// equality is checked over fixed synthetic durations — the same
-/// absorb path `mine_parallel_with_metrics` uses on shard join.)
+/// absorb path `Run::mine` uses on shard join.)
 #[test]
 fn sharded_histogram_merge_matches_sequential_recording() {
     use std::time::Duration;
@@ -238,8 +185,9 @@ fn parallel_histogram_count_matches_sequential() {
     let _ = dc.mine(&corpus, &[]);
     let sequential = dc.take_metrics();
 
-    let mut parallel = MetricsRegistry::new();
-    let _ = mine_parallel_with_metrics(&corpus, &[], 4, &mut parallel);
+    let mut run = Run::new(4);
+    let _ = run.mine(&corpus, &[]);
+    let parallel = run.metrics;
 
     let seq = sequential.hist("mine.change").expect("sequential hist");
     let par = parallel.hist("mine.change").expect("parallel hist");

@@ -287,18 +287,13 @@ proptest! {
         // And the metrics-publishing variant reports the same funnel.
         let mined = diffcode::DiffCode::new()
             .mine(&corpus, &["Cipher", "SecureRandom", "MessageDigest"]);
-        let mut registry = obs::MetricsRegistry::new();
-        let (kept2, stats2) =
-            diffcode::apply_filters_with_metrics(mined.changes, &mut registry);
+        let mut run = diffcode::Run::new(1);
+        let (kept2, stats2) = run.filter(&mined.changes);
         prop_assert_eq!(kept2.len(), kept.len());
         prop_assert_eq!(stats2.total, stats.total);
-        prop_assert_eq!(registry.counter("filter.total"), stats.total as u64);
-        prop_assert_eq!(registry.counter("filter.after_fdup"), stats.after_fdup as u64);
-        prop_assert!(obs::check_funnel(
-            &registry,
-            &["filter.total", "filter.after_fsame", "filter.after_fadd",
-              "filter.after_frem", "filter.after_fdup"],
-        ).is_ok());
+        prop_assert_eq!(run.metrics.counter("filter.total"), stats.total as u64);
+        prop_assert_eq!(run.metrics.counter("filter.after_fdup"), stats.after_fdup as u64);
+        prop_assert!(obs::check_funnel(&run.metrics, &diffcode::FILTER_FUNNEL).is_ok());
     }
 
     #[test]

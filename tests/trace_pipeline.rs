@@ -5,10 +5,7 @@
 //! sampling never drops a decision, and sequential and parallel runs
 //! produce identical decision sets.
 
-use diffcode::{
-    apply_filters_traced, elicit_auto_traced, mine_parallel_traced, ErrorKind, MiningCache,
-    SeenDups,
-};
+use diffcode::{ErrorKind, MiningCache, Run};
 use obs::{MetricsRegistry, TraceKind, TraceSink};
 use std::path::PathBuf;
 
@@ -54,6 +51,14 @@ fn decisions(trace: &TraceSink) -> Vec<(String, String, String)> {
         .collect()
 }
 
+/// A run on `n_threads` workers recording every `sample`-th span.
+fn traced(n_threads: usize, sample: u64) -> Run<'static> {
+    Run {
+        trace: TraceSink::enabled(sample),
+        ..Run::new(n_threads)
+    }
+}
+
 /// Runs the full traced funnel (mine → filter → elicit) and returns
 /// the trace together with the mining result and registry.
 fn run_traced(
@@ -61,20 +66,9 @@ fn run_traced(
     n_threads: usize,
     sample: u64,
 ) -> (TraceSink, diffcode::MiningResult, MetricsRegistry) {
-    let mut registry = MetricsRegistry::new();
-    let mut trace = TraceSink::enabled(sample);
-    let result = mine_parallel_traced(corpus, &[], n_threads, &mut registry, None, &mut trace);
-    let (kept, _) = apply_filters_traced(
-        result.changes.clone(),
-        &mut SeenDups::new(),
-        &mut registry,
-        &mut trace,
-        0,
-    );
-    if kept.len() >= 2 {
-        let _ = elicit_auto_traced(&kept, &mut registry, &mut trace);
-    }
-    (trace, result, registry)
+    let mut run = traced(n_threads, sample);
+    let funnel = run.funnel(corpus, true);
+    (run.trace, funnel.mined, run.metrics)
 }
 
 #[test]
@@ -84,9 +78,9 @@ fn one_mine_decision_per_code_change_reasons_match_stats() {
     let mut corpus = generated(8, 7);
     let _ = corpus::Mutator::new(7, 0.3).inject(&mut corpus);
     for threads in [1, 4] {
-        let mut registry = MetricsRegistry::new();
-        let mut trace = TraceSink::enabled(1);
-        let result = mine_parallel_traced(&corpus, &[], threads, &mut registry, None, &mut trace);
+        let mut run = traced(threads, 1);
+        let result = run.mine(&corpus, &[]);
+        let (trace, registry) = (run.trace, run.metrics);
         let mine: Vec<_> = decisions(&trace)
             .into_iter()
             .filter(|(_, stage, _)| stage == "mine")
@@ -113,16 +107,10 @@ fn one_mine_decision_per_code_change_reasons_match_stats() {
 #[test]
 fn filter_decisions_reconcile_with_filter_stats() {
     let corpus = generated(10, 42);
-    let mut registry = MetricsRegistry::new();
-    let mut trace = TraceSink::enabled(1);
-    let result = mine_parallel_traced(&corpus, &[], 1, &mut registry, None, &mut trace);
-    let (kept, stats) = apply_filters_traced(
-        result.changes,
-        &mut SeenDups::new(),
-        &mut registry,
-        &mut trace,
-        0,
-    );
+    let mut run = traced(1, 1);
+    let result = run.mine(&corpus, &[]);
+    let (kept, stats) = run.filter(&result.changes);
+    let (trace, registry) = (run.trace, run.metrics);
     let filter: Vec<_> = decisions(&trace)
         .into_iter()
         .filter(|(_, stage, _)| stage == "filter")
@@ -244,29 +232,21 @@ fn warm_run_decisions_carry_cache_hit_status() {
         usagegraph::DEFAULT_MAX_DEPTH,
     )
     .expect("open cache");
-    let mut registry = MetricsRegistry::new();
-    let mut cold_trace = TraceSink::enabled(1);
-    let cold = mine_parallel_traced(
-        &corpus,
-        &[],
-        2,
-        &mut registry,
-        Some(&mut cache),
-        &mut cold_trace,
-    );
+    let mut run = Run {
+        cache: Some(&mut cache),
+        ..traced(2, 1)
+    };
+    let cold = run.mine(&corpus, &[]);
+    let cold_trace = run.trace;
     cache.flush().expect("flush");
     assert_eq!(registry_hits(&cold_trace), 0, "cold run cannot hit");
 
-    let mut registry = MetricsRegistry::new();
-    let mut warm_trace = TraceSink::enabled(1);
-    let warm = mine_parallel_traced(
-        &corpus,
-        &[],
-        2,
-        &mut registry,
-        Some(&mut cache),
-        &mut warm_trace,
-    );
+    let mut run = Run {
+        cache: Some(&mut cache),
+        ..traced(2, 1)
+    };
+    let warm = run.mine(&corpus, &[]);
+    let (warm_trace, registry) = (run.trace, run.metrics);
     assert_eq!(warm.stats.code_changes, cold.stats.code_changes);
     assert_eq!(
         registry_hits(&warm_trace) as u64,
