@@ -19,11 +19,13 @@
 //!    [`wire::WireError`]s, never panics on malformed input.
 //! 3. [`CacheStore`] — an append-only log of
 //!    `(key, version, payload, checksum)` records under a cache
-//!    directory, loaded into an in-memory index on open. Writes
-//!    accumulate in memory ([`CacheStore::insert`] or a per-shard
-//!    [`ShardLog`] absorbed on join) and hit disk only on
-//!    [`CacheStore::flush`] — nothing on the hot path takes a lock or
-//!    touches the filesystem.
+//!    directory. Memory holds only an index of where each record sits
+//!    plus the entries not flushed yet; a hit is one positional read
+//!    of the log, checked against the index. Writes accumulate in
+//!    memory ([`CacheStore::insert`] or a per-shard [`ShardLog`]
+//!    absorbed on join) and hit disk only on [`CacheStore::flush`] —
+//!    nothing on the hot path takes a lock. One open store at a time
+//!    holds a directory's writer lock ([`StoreError::Locked`]).
 //!
 //! Versioning: every record carries the *analysis version* the caller
 //! opened the store with. A lookup that finds bytes written under a
@@ -31,7 +33,7 @@
 //! so bumping the version invalidates every existing entry without
 //! touching the file. [`CacheStore::vacuum`] rewrites the log to drop
 //! stale and superseded records; [`verify`] checks record integrity
-//! without loading payloads into an index.
+//! and [`stats`] counts entries, both without the writer lock.
 //!
 //! # Example
 //!
@@ -43,8 +45,9 @@
 //! let mut store = CacheStore::open(&dir, 1).unwrap();
 //! assert!(matches!(store.get(key), Lookup::Miss));
 //! store.insert(key, b"outcome".to_vec());
-//! assert!(matches!(store.get(key), Lookup::Hit(b) if b == b"outcome"));
+//! assert!(matches!(store.get(key), Lookup::Hit(b) if *b == *b"outcome"));
 //! store.flush().unwrap();
+//! drop(store); // releases the writer lock
 //!
 //! // A later run under a bumped analysis version sees stale entries.
 //! let store = CacheStore::open(&dir, 2).unwrap();
@@ -60,5 +63,5 @@ pub mod wire;
 
 pub use fingerprint::{fingerprint, fingerprint_str, Fingerprint};
 pub use store::{
-    verify, CacheStats, CacheStore, Lookup, ShardLog, StoreError, VacuumReport, VerifyReport,
+    stats, verify, CacheStats, CacheStore, Lookup, ShardLog, StoreError, VacuumReport, VerifyReport,
 };

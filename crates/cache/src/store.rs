@@ -7,6 +7,25 @@
 //! format never rewrites in place; [`CacheStore::vacuum`] produces a
 //! compacted file when asked.
 //!
+//! The log is the store. In memory a [`CacheStore`] keeps only an
+//! index, `key → (version, offset, length)` for every flushed record,
+//! plus the payloads recorded since the last flush. A hit reads its
+//! payload back with one positional read on the store's long-lived log
+//! handle, and flush appends through that same handle. Every payload
+//! checksum is verified once, by the scan at open, which streams the
+//! log through a fixed buffer. A read afterwards checks the record
+//! header (key, version, length) against the index instead of
+//! re-hashing the payload: a mismatch or a short read — the file
+//! changed under the store — is a [`Lookup::Miss`], never a wrong
+//! payload.
+//!
+//! One writer at a time: an open store holds an exclusive lock on its
+//! log handle, and a second open of the same directory fails fast with
+//! [`StoreError::Locked`]. Without it, the later of two writers'
+//! flushes would truncate the other's appended records. [`verify`] and
+//! [`stats`] read without the lock, so a cache a running writer holds
+//! can still be inspected.
+//!
 //! Crash safety is by construction: a flush that dies mid-record
 //! leaves a truncated tail that fails its length or checksum check, so
 //! the next [`CacheStore::open`] indexes every record up to the tail
@@ -23,10 +42,11 @@
 //! away.
 
 use crate::fingerprint::Fingerprint;
-use crate::wire::{Reader, WireError, Writer};
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::io::{self, Write as _};
+use std::fs::{File, TryLockError};
+use std::io::{self, BufRead as _, BufReader, BufWriter, Read as _, Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every cache log (format, not analysis, version;
@@ -36,14 +56,29 @@ const MAGIC: &[u8] = b"DIFFCACHE1\n";
 /// The log file name inside a cache directory.
 const LOG_NAME: &str = "cache.log";
 
-/// FNV-1a 64 of `bytes` — the per-record payload checksum.
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+/// Bytes of a record before its payload: key, version, payload length.
+const HEADER_LEN: usize = 16 + 4 + 8;
+
+/// Bytes of a record after its payload: the checksum.
+const TRAILER_LEN: usize = 8;
+
+/// The read buffer the open-time scan streams the log through.
+const SCAN_BUF: usize = 64 * 1024;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into an FNV-1a 64 hash state.
+fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     hash
+}
+
+/// FNV-1a 64 of `bytes` — the per-record payload checksum.
+fn checksum(bytes: &[u8]) -> u64 {
+    fnv(FNV_OFFSET, bytes)
 }
 
 /// Why a cache store could not be opened.
@@ -70,6 +105,12 @@ pub enum StoreError {
         /// truncate-at-first-error load would have dropped.
         valid_after: usize,
     },
+    /// Another open store — in this process or another — holds the
+    /// log's writer lock.
+    Locked {
+        /// The locked log file.
+        log: PathBuf,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -87,6 +128,13 @@ impl fmt::Display for StoreError {
                  refusing to drop them silently — run `cache verify` to inspect \
                  the damage and `cache vacuum` to rebuild a clean log"
             ),
+            StoreError::Locked { log } => write!(
+                f,
+                "cache log {} is locked by another writer; a cache directory \
+                 takes one writer at a time (`cache stats` and `cache verify` \
+                 can still read it)",
+                log.display()
+            ),
         }
     }
 }
@@ -95,7 +143,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(err) => Some(err),
-            StoreError::CorruptRecord { .. } => None,
+            StoreError::CorruptRecord { .. } | StoreError::Locked { .. } => None,
         }
     }
 }
@@ -106,24 +154,29 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// One indexed entry: the analysis version it was written under and
-/// its serialized payload.
-#[derive(Debug, Clone)]
-struct Entry {
+/// Where one flushed record sits in the log.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// The analysis version it was written under.
     version: u32,
-    payload: Vec<u8>,
+    /// Byte offset of the record's first (key) byte.
+    offset: u64,
+    /// Payload length in bytes.
+    len: u64,
 }
 
 /// The result of a cache lookup.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Lookup<'a> {
-    /// The key is present at the store's analysis version.
-    Hit(&'a [u8]),
+    /// The key is present at the store's analysis version: its payload,
+    /// borrowed when the entry is not flushed yet, read back from the
+    /// log when it is.
+    Hit(Cow<'a, [u8]>),
     /// The key is present but was written under a different analysis
     /// version — the cached outcome may no longer be what the pipeline
     /// would compute, so it must be recomputed.
     StaleVersion,
-    /// The key is absent.
+    /// The key is absent (or its record no longer reads back intact).
     Miss,
 }
 
@@ -215,7 +268,7 @@ pub struct VerifyReport {
     pub valid_records: usize,
     /// Records whose payload failed its checksum.
     pub checksum_failures: usize,
-    /// Bytes of unreadable tail after the last well-formed record.
+    /// Bytes of unreadable tail after the last well-framed record.
     pub corrupt_tail_bytes: u64,
     /// Distinct keys among valid records.
     pub distinct_keys: usize,
@@ -230,29 +283,135 @@ impl VerifyReport {
     }
 }
 
-/// A persistent content-addressed store bound to one analysis version.
-#[derive(Debug)]
-pub struct CacheStore {
-    dir: PathBuf,
-    version: u32,
-    index: HashMap<u128, Entry>,
-    pending: Vec<Fingerprint>,
+/// The on-disk half of a store: what the open-time scan indexed, kept
+/// current by flush and vacuum.
+#[derive(Debug, Default)]
+struct LogIndex {
+    /// Flushed records by key (last write wins).
+    slots: HashMap<u128, Slot>,
     /// Byte length of the well-formed prefix of the log file; flush
-    /// truncates to this before appending.
+    /// appends here.
     valid_len: u64,
     records_loaded: usize,
     corrupt_tail_bytes: u64,
     corrupt_records: usize,
 }
 
+impl LogIndex {
+    /// Scans `file` front to back, verifying every payload checksum,
+    /// and indexes the valid records. Returns the index plus the
+    /// [`StoreError::CorruptRecord`] a strict open raises when a
+    /// checksum-failed record has valid records after it (the index
+    /// then skips it, as a tolerant open does).
+    fn scan(file: &File) -> io::Result<(LogIndex, Option<StoreError>)> {
+        let end = file.metadata()?.len();
+        let mut index = LogIndex::default();
+        let Some(mut log) = RecordReader::new(file, end)? else {
+            // Foreign or empty file: treat everything as corrupt tail
+            // so flush rewrites from scratch.
+            index.corrupt_tail_bytes = end;
+            return Ok((index, None));
+        };
+        let mut consumed = MAGIC.len() as u64;
+        // A checksum-failed record whose *framing* parsed is only a
+        // benign "corrupt tail" if nothing valid follows it. Track how
+        // many such records a later valid record turns into mid-log
+        // corruption (`skipped`), versus ones still waiting at the end
+        // of the scan (`pending` — absorbed into the corrupt tail).
+        let mut first_corrupt: Option<(u64, usize)> = None; // (offset, valid records before it)
+        let mut valid_seen = 0usize;
+        let mut pending_corrupt = 0usize;
+        let mut skipped_corrupt = 0usize;
+        while let Some(record) = log.next_record()? {
+            if record.intact {
+                consumed = log.pos;
+                index.records_loaded += 1;
+                valid_seen += 1;
+                skipped_corrupt += pending_corrupt;
+                pending_corrupt = 0;
+                index.slots.insert(
+                    record.key,
+                    Slot {
+                        version: record.version,
+                        offset: record.offset,
+                        len: record.len,
+                    },
+                );
+            } else {
+                // Framing intact, payload untrustworthy. Keep scanning:
+                // whether this is tail damage or mid-log corruption
+                // depends on what comes after.
+                if first_corrupt.is_none() {
+                    first_corrupt = Some((record.offset, valid_seen));
+                }
+                pending_corrupt += 1;
+            }
+        }
+        let mut strict_error = None;
+        if skipped_corrupt > 0 {
+            if let Some((offset, valid_before)) = first_corrupt {
+                strict_error = Some(StoreError::CorruptRecord {
+                    offset,
+                    valid_before,
+                    valid_after: valid_seen - valid_before,
+                });
+            }
+            index.corrupt_records = skipped_corrupt;
+        }
+        index.valid_len = consumed;
+        index.corrupt_tail_bytes = end - consumed;
+        Ok((index, strict_error))
+    }
+
+    /// Indexed entries at `version`.
+    fn current(&self, version: u32) -> usize {
+        self.slots.values().filter(|s| s.version == version).count()
+    }
+
+    fn stats(&self, version: u32, pending_entries: usize) -> CacheStats {
+        let flushed_current = self.current(version);
+        CacheStats {
+            current_entries: flushed_current + pending_entries,
+            stale_entries: self.slots.len() - flushed_current,
+            records_loaded: self.records_loaded,
+            corrupt_tail_bytes: self.corrupt_tail_bytes,
+            corrupt_records: self.corrupt_records,
+            file_bytes: self.valid_len + self.corrupt_tail_bytes,
+            pending_entries,
+        }
+    }
+}
+
+/// A persistent content-addressed store bound to one analysis version.
+#[derive(Debug)]
+pub struct CacheStore {
+    dir: PathBuf,
+    version: u32,
+    /// The log, open for reading and writing and exclusively locked for
+    /// as long as the store lives.
+    log: File,
+    disk: LogIndex,
+    /// Entries recorded since the last flush, in recording order — the
+    /// only payload bytes the store holds in memory. A key is either
+    /// here or in `disk.slots`, never both.
+    pending: Vec<(Fingerprint, Vec<u8>)>,
+    /// Position of each pending key in `pending`.
+    pending_at: HashMap<u128, usize>,
+    /// Bytes past `disk.valid_len` may be on disk (a torn tail found at
+    /// open, or a failed append): the next flush truncates first.
+    truncate_first: bool,
+}
+
 impl CacheStore {
-    /// Opens (creating if needed) the cache under `dir`, indexing every
-    /// well-formed record of its log. `version` is the caller's current
-    /// analysis version: entries written under any other version will
-    /// report [`Lookup::StaleVersion`].
+    /// Opens (creating if needed) the cache under `dir` for writing,
+    /// taking its writer lock and indexing every well-formed record of
+    /// its log. `version` is the caller's current analysis version:
+    /// entries written under any other version will report
+    /// [`Lookup::StaleVersion`].
     ///
     /// # Errors
     ///
+    /// [`StoreError::Locked`] while another open store holds the log;
     /// [`StoreError::Io`] on filesystem failures creating the directory
     /// or reading the log. A corrupt *tail* (crash mid-append) is not
     /// an error — unreadable trailing bytes are skipped, reported via
@@ -269,35 +428,40 @@ impl CacheStore {
     /// Opens the cache under `dir` like [`CacheStore::open`], but skips
     /// checksum-failed mid-log records (counting them in
     /// [`CacheStats::corrupt_records`]) instead of failing. This is the
-    /// inspection/repair path: `cache stats` and `cache vacuum` must
-    /// work on a damaged log, and vacuum's rewrite is how the damage is
-    /// healed.
+    /// repair path: vacuum's rewrite is how the damage is healed.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] only.
+    /// [`StoreError::Locked`] and [`StoreError::Io`] only.
     pub fn open_tolerant(dir: &Path, version: u32) -> Result<CacheStore, StoreError> {
         CacheStore::open_inner(dir, version, true)
     }
 
     fn open_inner(dir: &Path, version: u32, tolerant: bool) -> Result<CacheStore, StoreError> {
         std::fs::create_dir_all(dir)?;
-        let mut store = CacheStore {
+        let path = dir.join(LOG_NAME);
+        let log = File::options()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)?;
+        if !lock(&log)? {
+            return Err(StoreError::Locked { log: path });
+        }
+        let (disk, strict_error) = LogIndex::scan(&log)?;
+        if let (false, Some(err)) = (tolerant, strict_error) {
+            return Err(err);
+        }
+        Ok(CacheStore {
             dir: dir.to_owned(),
             version,
-            index: HashMap::new(),
+            log,
+            truncate_first: disk.corrupt_tail_bytes > 0,
+            disk,
             pending: Vec::new(),
-            valid_len: 0,
-            records_loaded: 0,
-            corrupt_tail_bytes: 0,
-            corrupt_records: 0,
-        };
-        let log = store.log_path();
-        if log.exists() {
-            let bytes = std::fs::read(&log)?;
-            store.load(&bytes, tolerant)?;
-        }
-        Ok(store)
+            pending_at: HashMap::new(),
+        })
     }
 
     /// The path of the backing log file.
@@ -310,93 +474,62 @@ impl CacheStore {
         self.version
     }
 
-    fn load(&mut self, bytes: &[u8], tolerant: bool) -> Result<(), StoreError> {
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            // Foreign or empty file: treat everything as corrupt tail
-            // so flush rewrites from scratch.
-            self.corrupt_tail_bytes = bytes.len() as u64;
-            self.valid_len = 0;
-            return Ok(());
-        }
-        let mut reader = Reader::new(&bytes[MAGIC.len()..]);
-        let mut consumed = MAGIC.len() as u64;
-        // A checksum-failed record whose *framing* parsed is only a
-        // benign "corrupt tail" if nothing valid follows it. Track how
-        // many such records a later valid record turns into mid-log
-        // corruption (`skipped`), versus ones still waiting at the end
-        // of the scan (`pending` — absorbed into the corrupt tail).
-        let mut first_corrupt: Option<(u64, usize)> = None; // (offset, valid records before it)
-        let mut valid_seen = 0usize;
-        let mut pending_corrupt = 0usize;
-        let mut skipped_corrupt = 0usize;
-        while !reader.is_exhausted() {
-            let record_start = (bytes.len() - reader.remaining()) as u64;
-            match read_record(&mut reader) {
-                Ok(RawRecord::Valid {
-                    key,
-                    version,
-                    payload,
-                }) => {
-                    consumed = (bytes.len() - reader.remaining()) as u64;
-                    self.records_loaded += 1;
-                    valid_seen += 1;
-                    skipped_corrupt += pending_corrupt;
-                    pending_corrupt = 0;
-                    // Last write wins: a re-recorded key supersedes.
-                    self.index.insert(key.0, Entry { version, payload });
-                }
-                Ok(RawRecord::BadChecksum) => {
-                    // Framing intact, payload untrustworthy. Keep
-                    // scanning: whether this is tail damage or mid-log
-                    // corruption depends on what comes after.
-                    if first_corrupt.is_none() {
-                        first_corrupt = Some((record_start, valid_seen));
-                    }
-                    pending_corrupt += 1;
-                }
-                // Structural damage: everything from here is tail.
-                Err(_) => break,
-            }
-        }
-        if skipped_corrupt > 0 {
-            if let (false, Some((offset, valid_before))) = (tolerant, first_corrupt) {
-                return Err(StoreError::CorruptRecord {
-                    offset,
-                    valid_before,
-                    valid_after: valid_seen - valid_before,
-                });
-            }
-            self.corrupt_records = skipped_corrupt;
-        }
-        self.valid_len = consumed;
-        self.corrupt_tail_bytes = bytes.len() as u64 - consumed;
-        Ok(())
-    }
-
-    /// Looks up `key`.
+    /// Looks up `key`. A flushed entry is read back from the log; a
+    /// record whose header no longer matches the index, or that reads
+    /// short, is a [`Lookup::Miss`].
     pub fn get(&self, key: Fingerprint) -> Lookup<'_> {
-        match self.index.get(&key.0) {
-            Some(entry) if entry.version == self.version => Lookup::Hit(&entry.payload),
+        if let Some(&at) = self.pending_at.get(&key.0) {
+            return Lookup::Hit(Cow::Borrowed(&self.pending[at].1));
+        }
+        match self.disk.slots.get(&key.0) {
+            Some(slot) if slot.version == self.version => {
+                match self.read_payload(key, *slot, false) {
+                    Some(payload) => Lookup::Hit(Cow::Owned(payload)),
+                    None => Lookup::Miss,
+                }
+            }
             Some(_) => Lookup::StaleVersion,
             None => Lookup::Miss,
         }
+    }
+
+    /// Reads the payload of the record at `slot` back, if its header
+    /// still says what the index expects there. With `verify` the
+    /// payload must also match its checksum — vacuum's copy check.
+    fn read_payload(&self, key: Fingerprint, slot: Slot, verify: bool) -> Option<Vec<u8>> {
+        let len = usize::try_from(slot.len).ok()?;
+        let trailer = if verify { TRAILER_LEN } else { 0 };
+        let mut record = vec![0u8; HEADER_LEN.checked_add(len)?.checked_add(trailer)?];
+        read_at(&self.log, &mut record, slot.offset).ok()?;
+        if record[..HEADER_LEN] != header(key, slot.version, slot.len) {
+            return None;
+        }
+        if verify {
+            let (payload, stored) = record[HEADER_LEN..].split_at(len);
+            if stored != checksum(payload).to_le_bytes() {
+                return None;
+            }
+            record.truncate(HEADER_LEN + len);
+        }
+        record.drain(..HEADER_LEN);
+        Some(record)
     }
 
     /// Records `payload` for `key` at the store's version. Visible to
     /// [`CacheStore::get`] immediately; durable after
     /// [`CacheStore::flush`].
     pub fn insert(&mut self, key: Fingerprint, payload: Vec<u8>) {
-        // Callers only insert on a miss (the mining loop checks first;
-        // `absorb` skips keys that already hit), so a key is pending at
-        // most once per flush.
-        self.index.insert(
-            key.0,
-            Entry {
-                version: self.version,
-                payload,
-            },
-        );
-        self.pending.push(key);
+        // The pending entry supersedes whatever the log holds for the
+        // key (last write wins): the index forgets the old record until
+        // flush indexes the new one.
+        self.disk.slots.remove(&key.0);
+        match self.pending_at.get(&key.0) {
+            Some(&at) => self.pending[at].1 = payload,
+            None => {
+                self.pending_at.insert(key.0, self.pending.len());
+                self.pending.push((key, payload));
+            }
+        }
     }
 
     /// Merges a shard's write log into the store (in the shard's append
@@ -406,14 +539,20 @@ impl CacheStore {
         let ShardLog { order, mut entries } = log;
         for key in order {
             if let Some(payload) = entries.remove(&key.0) {
-                // Skip keys a previously-absorbed shard already wrote:
+                // Skip keys the store already holds at this version
+                // (e.g. a previously-absorbed shard wrote them):
                 // identical content produces identical payloads, so
                 // first-wins and last-wins agree; not re-appending just
                 // keeps the log smaller.
-                if matches!(self.get(key), Lookup::Hit(_)) {
-                    continue;
+                let current = self.pending_at.contains_key(&key.0)
+                    || self
+                        .disk
+                        .slots
+                        .get(&key.0)
+                        .is_some_and(|s| s.version == self.version);
+                if !current {
+                    self.insert(key, payload);
                 }
-                self.insert(key, payload);
             }
         }
     }
@@ -423,57 +562,64 @@ impl CacheStore {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; pending entries stay queued on error.
+    /// Propagates I/O failures; pending entries stay queued on error,
+    /// and the next flush truncates whatever part of them reached the
+    /// file before appending again.
     pub fn flush(&mut self) -> io::Result<usize> {
         if self.pending.is_empty() {
             return Ok(0);
         }
-        let path = self.log_path();
-        let fresh = !path.exists() || self.valid_len == 0;
-        // Not truncate(true): the well-formed prefix must survive. The
-        // set_len below drops exactly the corrupt tail instead.
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(&path)?;
-        // Drop any corrupt tail (or foreign content) before appending.
-        file.set_len(if fresh { 0 } else { self.valid_len })?;
-        let mut out = io::BufWriter::new(file);
-        use io::Seek as _;
-        out.seek(io::SeekFrom::End(0))?;
-        let mut written = 0u64;
-        if fresh {
-            out.write_all(MAGIC)?;
-            written += MAGIC.len() as u64;
+        let start = self.disk.valid_len;
+        if let Err(err) = self.append(start) {
+            self.truncate_first = true;
+            return Err(err);
         }
-        let mut flushed = 0usize;
-        for key in std::mem::take(&mut self.pending) {
-            let entry = &self.index[&key.0];
-            let record = encode_record(key, entry.version, &entry.payload);
-            out.write_all(&record)?;
-            written += record.len() as u64;
-            flushed += 1;
+        self.truncate_first = false;
+        let flushed = self.pending.len();
+        // A log without a valid record starts over with the magic.
+        let mut offset = start.max(MAGIC.len() as u64);
+        for (key, payload) in std::mem::take(&mut self.pending) {
+            let len = payload.len() as u64;
+            self.disk.slots.insert(
+                key.0,
+                Slot {
+                    version: self.version,
+                    offset,
+                    len,
+                },
+            );
+            offset += record_len(len);
         }
-        out.flush()?;
-        self.valid_len = if fresh {
-            written
-        } else {
-            self.valid_len + written
-        };
-        self.corrupt_tail_bytes = 0;
+        self.pending_at = HashMap::new();
+        self.disk.valid_len = offset;
+        self.disk.corrupt_tail_bytes = 0;
         // Keep the on-disk record count honest: vacuum and stats derive
         // the superseded-duplicate count from it.
-        self.records_loaded += flushed;
+        self.disk.records_loaded += flushed;
         Ok(flushed)
+    }
+
+    /// Writes the pending records at byte `start`, after the magic when
+    /// the log holds no valid record yet.
+    fn append(&self, start: u64) -> io::Result<()> {
+        if self.truncate_first {
+            // Drop the torn tail (or foreign content) before appending.
+            self.log.set_len(start)?;
+        }
+        (&self.log).seek(io::SeekFrom::Start(start))?;
+        let mut out = BufWriter::new(&self.log);
+        if start == 0 {
+            out.write_all(MAGIC)?;
+        }
+        for (key, payload) in &self.pending {
+            write_record(&mut out, *key, self.version, payload)?;
+        }
+        out.flush()
     }
 
     /// Number of indexed entries at the current version.
     pub fn len(&self) -> usize {
-        self.index
-            .values()
-            .filter(|e| e.version == self.version)
-            .count()
+        self.disk.current(self.version) + self.pending.len()
     }
 
     /// `true` when no entry is indexed at the current version.
@@ -483,21 +629,13 @@ impl CacheStore {
 
     /// Aggregate store facts.
     pub fn stats(&self) -> CacheStats {
-        let current_entries = self.len();
-        CacheStats {
-            current_entries,
-            stale_entries: self.index.len() - current_entries,
-            records_loaded: self.records_loaded,
-            corrupt_tail_bytes: self.corrupt_tail_bytes,
-            corrupt_records: self.corrupt_records,
-            file_bytes: self.valid_len + self.corrupt_tail_bytes,
-            pending_entries: self.pending.len(),
-        }
+        self.disk.stats(self.version, self.pending.len())
     }
 
     /// Rewrites the log to exactly one record per current-version key
     /// (sorted by key, so vacuumed files are canonical), dropping stale
-    /// versions, superseded duplicates, and any corrupt tail.
+    /// versions, superseded duplicates, and any corrupt tail. Each kept
+    /// payload is checked against its checksum again on the way through.
     ///
     /// # Errors
     ///
@@ -505,139 +643,311 @@ impl CacheStore {
     /// place (the rewrite goes through a temp file + rename).
     pub fn vacuum(&mut self) -> io::Result<VacuumReport> {
         self.flush()?;
-        let bytes_before = self.valid_len + self.corrupt_tail_bytes;
-        let mut keys: Vec<u128> = self
-            .index
+        let bytes_before = self.disk.valid_len + self.disk.corrupt_tail_bytes;
+        let mut live: Vec<(u128, Slot)> = self
+            .disk
+            .slots
             .iter()
-            .filter(|(_, e)| e.version == self.version)
-            .map(|(k, _)| *k)
+            .filter(|(_, s)| s.version == self.version)
+            .map(|(k, s)| (*k, *s))
             .collect();
-        keys.sort_unstable();
-        let dropped_stale = self.index.len() - keys.len();
+        live.sort_unstable_by_key(|(k, _)| *k);
+        let dropped_stale = self.disk.slots.len() - live.len();
 
-        let mut out: Vec<u8> = Vec::with_capacity(MAGIC.len());
-        out.extend_from_slice(MAGIC);
-        for key in &keys {
-            let entry = &self.index[key];
-            out.extend_from_slice(&encode_record(
-                Fingerprint(*key),
-                entry.version,
-                &entry.payload,
+        let tmp_path = self.dir.join(format!("{LOG_NAME}.tmp"));
+        let tmp = File::options()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp_path)?;
+        // Lock the new log before the rename makes it visible under the
+        // log's name, so no other writer can open it in between.
+        if !lock(&tmp)? {
+            return Err(io::Error::new(
+                io::ErrorKind::WouldBlock,
+                format!("{} is locked by another vacuum", tmp_path.display()),
             ));
         }
-        let tmp = self.dir.join(format!("{LOG_NAME}.tmp"));
-        std::fs::write(&tmp, &out)?;
-        std::fs::rename(&tmp, self.log_path())?;
+        let mut slots = HashMap::with_capacity(live.len());
+        let mut end = MAGIC.len() as u64;
+        {
+            let mut out = BufWriter::new(&tmp);
+            out.write_all(MAGIC)?;
+            for (key, slot) in live {
+                let key = Fingerprint(key);
+                let Some(payload) = self.read_payload(key, slot, true) else {
+                    continue;
+                };
+                write_record(&mut out, key, slot.version, &payload)?;
+                slots.insert(
+                    key.0,
+                    Slot {
+                        offset: end,
+                        ..slot
+                    },
+                );
+                end += record_len(slot.len);
+            }
+            out.flush()?;
+        }
+        std::fs::rename(&tmp_path, self.log_path())?;
 
         // Skipped corrupt records count as dropped: the rewrite is what
         // finally removes their bytes from the log.
+        let kept = slots.len();
         let dropped_records =
-            (self.records_loaded + self.corrupt_records).saturating_sub(keys.len());
-        self.index.retain(|_, e| e.version == self.version);
-        self.records_loaded = keys.len();
-        self.valid_len = out.len() as u64;
-        self.corrupt_tail_bytes = 0;
-        self.corrupt_records = 0;
+            (self.disk.records_loaded + self.disk.corrupt_records).saturating_sub(kept);
+        self.log = tmp;
+        self.disk = LogIndex {
+            slots,
+            valid_len: end,
+            records_loaded: kept,
+            corrupt_tail_bytes: 0,
+            corrupt_records: 0,
+        };
+        self.truncate_first = false;
         Ok(VacuumReport {
-            kept: keys.len(),
+            kept,
             dropped_stale,
             dropped_records,
             bytes_before,
-            bytes_after: out.len() as u64,
+            bytes_after: end,
         })
     }
 }
 
+/// Takes `file`'s exclusive lock without waiting: `false` when another
+/// handle holds it. A platform or filesystem without file locks leaves
+/// the log unlocked rather than the cache unusable.
+fn lock(file: &File) -> io::Result<bool> {
+    match file.try_lock() {
+        Ok(()) => Ok(true),
+        Err(TryLockError::WouldBlock) => Ok(false),
+        Err(TryLockError::Error(err)) if err.kind() == io::ErrorKind::Unsupported => Ok(true),
+        Err(TryLockError::Error(err)) => Err(err),
+    }
+}
+
+/// Fills `buf` from `file` at byte `offset`, without moving the
+/// handle's cursor — so readers share one handle with no lock.
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+fn read_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> io::Result<()> {
+    use std::os::windows::fs::FileExt as _;
+    while !buf.is_empty() {
+        match file.seek_read(buf, offset)? {
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            n => {
+                buf = &mut buf[n..];
+                offset += n as u64;
+            }
+        }
+    }
+    Ok(())
+}
+
+#[cfg(not(any(unix, windows)))]
+fn read_at(_file: &File, _buf: &mut [u8], _offset: u64) -> io::Result<()> {
+    Err(io::ErrorKind::Unsupported.into())
+}
+
+/// The log under `dir`, opened for reading; `None` when there is none.
+fn open_existing(dir: &Path) -> io::Result<Option<File>> {
+    match File::open(dir.join(LOG_NAME)) {
+        Ok(file) => Ok(Some(file)),
+        Err(err) if err.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(err) => Err(err),
+    }
+}
+
 /// Scans the log under `dir` without building an index: record
-/// well-formedness, payload checksums, per-version counts.
+/// well-formedness, payload checksums, per-version counts. Reads
+/// without the writer lock, so it works on a cache a running writer
+/// holds (a record appended mid-scan may show as corrupt tail).
 ///
 /// # Errors
 ///
 /// I/O failures only; an absent log verifies as an empty clean report.
 pub fn verify(dir: &Path) -> io::Result<VerifyReport> {
-    let path = dir.join(LOG_NAME);
     let mut report = VerifyReport::default();
-    if !path.exists() {
+    let Some(file) = open_existing(dir)? else {
         return Ok(report);
-    }
-    let bytes = std::fs::read(&path)?;
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        report.corrupt_tail_bytes = bytes.len() as u64;
+    };
+    let end = file.metadata()?.len();
+    let Some(mut log) = RecordReader::new(&file, end)? else {
+        report.corrupt_tail_bytes = end;
         return Ok(report);
-    }
-    let mut reader = Reader::new(&bytes[MAGIC.len()..]);
-    let mut keys = std::collections::HashSet::new();
-    while !reader.is_exhausted() {
-        match read_record_checked(&mut reader) {
-            Ok((key, version, checksum_ok)) => {
-                if checksum_ok {
-                    report.valid_records += 1;
-                    keys.insert(key.0);
-                    *report.versions.entry(version).or_insert(0) += 1;
-                } else {
-                    report.checksum_failures += 1;
-                }
-            }
-            Err(_) => {
-                report.corrupt_tail_bytes = reader.remaining() as u64;
-                break;
-            }
+    };
+    let mut keys = HashSet::new();
+    while let Some(record) = log.next_record()? {
+        if record.intact {
+            report.valid_records += 1;
+            keys.insert(record.key);
+            *report.versions.entry(record.version).or_insert(0) += 1;
+        } else {
+            report.checksum_failures += 1;
         }
     }
+    report.corrupt_tail_bytes = end - log.pos;
     report.distinct_keys = keys.len();
     Ok(report)
 }
 
-/// Serializes one record.
-fn encode_record(key: Fingerprint, version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u128(key.0);
-    w.u32(version);
-    w.bytes(payload);
-    w.u64(checksum(payload));
-    w.finish()
+/// [`CacheStore::stats`] for the log under `dir` at analysis `version`,
+/// read without the writer lock — how a cache a running writer holds is
+/// inspected. Tolerant like [`CacheStore::open_tolerant`]; a record
+/// appended mid-scan may show as corrupt tail.
+///
+/// # Errors
+///
+/// I/O failures only; an absent log has all-zero stats.
+pub fn stats(dir: &Path, version: u32) -> io::Result<CacheStats> {
+    let Some(file) = open_existing(dir)? else {
+        return Ok(CacheStats::default());
+    };
+    let (disk, _) = LogIndex::scan(&file)?;
+    Ok(disk.stats(version, 0))
 }
 
-/// One record as read off the log: either fully valid, or structurally
-/// intact (length framing parsed, so the scan can continue past it)
-/// but failing its payload checksum.
-enum RawRecord {
-    Valid {
-        key: Fingerprint,
-        version: u32,
-        payload: Vec<u8>,
-    },
-    BadChecksum,
+/// The header bytes a record for `(key, version, len)` starts with.
+fn header(key: Fingerprint, version: u32, len: u64) -> [u8; HEADER_LEN] {
+    let mut out = [0u8; HEADER_LEN];
+    out[..16].copy_from_slice(&key.0.to_le_bytes());
+    out[16..20].copy_from_slice(&version.to_le_bytes());
+    out[20..].copy_from_slice(&len.to_le_bytes());
+    out
 }
 
-/// Reads one record. Structural damage (truncated framing) is a wire
-/// error; a checksum mismatch with intact framing is reported as
-/// [`RawRecord::BadChecksum`] so the caller can decide whether it is
-/// tail damage or mid-log corruption.
-fn read_record(reader: &mut Reader<'_>) -> Result<RawRecord, WireError> {
-    let key = Fingerprint(reader.u128()?);
-    let version = reader.u32()?;
-    let payload = reader.bytes()?.to_vec();
-    let stored = reader.u64()?;
-    if stored != checksum(&payload) {
-        return Ok(RawRecord::BadChecksum);
+/// The `N` bytes of `bytes` starting at `at`.
+fn field<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&bytes[at..at + N]);
+    out
+}
+
+/// On-disk size of a record with a `len`-byte payload.
+fn record_len(len: u64) -> u64 {
+    (HEADER_LEN + TRAILER_LEN) as u64 + len
+}
+
+/// Serializes one record into `out`.
+fn write_record(
+    out: &mut impl io::Write,
+    key: Fingerprint,
+    version: u32,
+    payload: &[u8],
+) -> io::Result<()> {
+    out.write_all(&header(key, version, payload.len() as u64))?;
+    out.write_all(payload)?;
+    out.write_all(&checksum(payload).to_le_bytes())
+}
+
+/// One record met by a [`RecordReader`].
+struct RawRecord {
+    /// Byte offset of the record's first byte.
+    offset: u64,
+    key: u128,
+    version: u32,
+    /// Payload length.
+    len: u64,
+    /// The payload matched its checksum.
+    intact: bool,
+}
+
+/// Walks a log front to back through a fixed buffer, checksumming each
+/// payload as it streams past — memory stays at the buffer size
+/// whatever the size of the log.
+struct RecordReader<'f> {
+    input: BufReader<&'f File>,
+    /// Offset of the next unread record.
+    pos: u64,
+    /// File length when the scan began; nothing past it is read.
+    end: u64,
+}
+
+impl<'f> RecordReader<'f> {
+    /// A reader positioned after the magic; `None` when the file does
+    /// not start with it (foreign or empty).
+    fn new(file: &'f File, end: u64) -> io::Result<Option<RecordReader<'f>>> {
+        if end < MAGIC.len() as u64 {
+            return Ok(None);
+        }
+        (&*file).seek(io::SeekFrom::Start(0))?;
+        let mut reader = RecordReader {
+            input: BufReader::with_capacity(SCAN_BUF, file),
+            pos: 0,
+            end,
+        };
+        let mut magic = [0u8; MAGIC.len()];
+        if !reader.fill(&mut magic)? || magic != MAGIC {
+            return Ok(None);
+        }
+        reader.pos = MAGIC.len() as u64;
+        Ok(Some(reader))
     }
-    Ok(RawRecord::Valid {
-        key,
-        version,
-        payload,
-    })
-}
 
-/// Reads one record structurally, reporting (rather than failing on) a
-/// checksum mismatch — [`verify`] wants to keep scanning past a bad
-/// payload whose framing is intact.
-fn read_record_checked(reader: &mut Reader<'_>) -> Result<(Fingerprint, u32, bool), WireError> {
-    let key = Fingerprint(reader.u128()?);
-    let version = reader.u32()?;
-    let payload = reader.bytes()?;
-    let stored = reader.u64()?;
-    Ok((key, version, stored == checksum(payload)))
+    /// Reads exactly `buf.len()` bytes; `false` if the file ended first.
+    fn fill(&mut self, buf: &mut [u8]) -> io::Result<bool> {
+        match self.input.read_exact(buf) {
+            Ok(()) => Ok(true),
+            Err(err) if err.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+            Err(err) => Err(err),
+        }
+    }
+
+    /// The next record. `None` where the well-framed log ends — at
+    /// `end`, or at a record too short for its own length prefix (a
+    /// torn tail); `pos` is then where that tail begins.
+    fn next_record(&mut self) -> io::Result<Option<RawRecord>> {
+        let framing = (HEADER_LEN + TRAILER_LEN) as u64;
+        let left = self.end - self.pos;
+        if left < framing {
+            return Ok(None);
+        }
+        let mut head = [0u8; HEADER_LEN];
+        if !self.fill(&mut head)? {
+            return Ok(None);
+        }
+        let key = u128::from_le_bytes(field(&head, 0));
+        let version = u32::from_le_bytes(field(&head, 16));
+        let len = u64::from_le_bytes(field(&head, 20));
+        if len > left - framing {
+            return Ok(None);
+        }
+        let mut hash = FNV_OFFSET;
+        let mut remaining = len;
+        while remaining > 0 {
+            let chunk = self.input.fill_buf()?;
+            if chunk.is_empty() {
+                // The file shrank under the scan.
+                return Ok(None);
+            }
+            let take = chunk
+                .len()
+                .min(usize::try_from(remaining).unwrap_or(usize::MAX));
+            hash = fnv(hash, &chunk[..take]);
+            self.input.consume(take);
+            remaining -= take as u64;
+        }
+        let mut stored = [0u8; TRAILER_LEN];
+        if !self.fill(&mut stored)? {
+            return Ok(None);
+        }
+        let offset = self.pos;
+        self.pos += framing + len;
+        Ok(Some(RawRecord {
+            offset,
+            key,
+            version,
+            len,
+            intact: u64::from_le_bytes(stored) == hash,
+        }))
+    }
 }
 
 #[cfg(test)]
@@ -651,6 +961,10 @@ mod tests {
         dir
     }
 
+    fn hit(payload: &[u8]) -> Lookup<'_> {
+        Lookup::Hit(Cow::Borrowed(payload))
+    }
+
     #[test]
     fn insert_get_flush_reopen() {
         let dir = temp_dir("roundtrip");
@@ -658,13 +972,16 @@ mod tests {
         let mut store = CacheStore::open(&dir, 1).unwrap();
         assert_eq!(store.get(key), Lookup::Miss);
         store.insert(key, vec![1, 2, 3]);
-        assert_eq!(store.get(key), Lookup::Hit(&[1, 2, 3]));
+        assert_eq!(store.get(key), hit(&[1, 2, 3]));
         assert_eq!(store.flush().unwrap(), 1);
         assert_eq!(store.flush().unwrap(), 0, "nothing pending");
+        assert_eq!(store.get(key), hit(&[1, 2, 3]), "read back from the log");
+        drop(store);
 
         let store = CacheStore::open(&dir, 1).unwrap();
-        assert_eq!(store.get(key), Lookup::Hit(&[1, 2, 3]));
+        assert_eq!(store.get(key), hit(&[1, 2, 3]));
         assert_eq!(store.len(), 1);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -675,18 +992,17 @@ mod tests {
         let mut store = CacheStore::open(&dir, 1).unwrap();
         store.insert(key, b"v1".to_vec());
         store.flush().unwrap();
+        drop(store);
 
         let store = CacheStore::open(&dir, 2).unwrap();
         assert_eq!(store.get(key), Lookup::StaleVersion);
         assert_eq!(store.len(), 0);
         assert_eq!(store.stats().stale_entries, 1);
+        drop(store);
 
         let store = CacheStore::open(&dir, 1).unwrap();
-        assert_eq!(
-            store.get(key),
-            Lookup::Hit(b"v1".as_slice()),
-            "old version intact"
-        );
+        assert_eq!(store.get(key), hit(b"v1"), "old version intact");
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -698,17 +1014,19 @@ mod tests {
         store.insert(key, b"payload".to_vec());
         store.flush().unwrap();
         let log = store.log_path();
+        drop(store);
         // Simulate a crash mid-append: garbage after the valid record.
         let mut bytes = std::fs::read(&log).unwrap();
         bytes.extend_from_slice(&[0xAB; 13]);
         std::fs::write(&log, &bytes).unwrap();
 
         let mut store = CacheStore::open(&dir, 1).unwrap();
-        assert_eq!(store.get(key), Lookup::Hit(b"payload".as_slice()));
+        assert_eq!(store.get(key), hit(b"payload"));
         assert_eq!(store.stats().corrupt_tail_bytes, 13);
         let key2 = fingerprint(&[b"second"]);
         store.insert(key2, b"two".to_vec());
         store.flush().unwrap();
+        drop(store);
 
         let store = CacheStore::open(&dir, 1).unwrap();
         assert_eq!(
@@ -716,8 +1034,9 @@ mod tests {
             0,
             "flush truncated the tail"
         );
-        assert_eq!(store.get(key), Lookup::Hit(b"payload".as_slice()));
-        assert_eq!(store.get(key2), Lookup::Hit(b"two".as_slice()));
+        assert_eq!(store.get(key), hit(b"payload"));
+        assert_eq!(store.get(key2), hit(b"two"));
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -739,14 +1058,21 @@ mod tests {
 
         store.absorb(log1);
         store.absorb(log2);
-        assert_eq!(store.get(ka), Lookup::Hit(b"A".as_slice()));
-        assert_eq!(store.get(kb), Lookup::Hit(b"B".as_slice()));
+        assert_eq!(store.get(ka), hit(b"A"));
+        assert_eq!(store.get(kb), hit(b"B"));
         assert_eq!(
             store.stats().pending_entries,
             2,
             "cross-shard duplicate skipped"
         );
         store.flush().unwrap();
+
+        // A key flushed earlier is not appended again by a later shard.
+        let mut log3 = ShardLog::new();
+        log3.record(ka, b"A".to_vec());
+        store.absorb(log3);
+        assert_eq!(store.stats().pending_entries, 0);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -761,8 +1087,10 @@ mod tests {
             // The worker died: the log is dropped, never absorbed.
         }
         store.flush().unwrap();
+        drop(store);
         let store = CacheStore::open(&dir, 1).unwrap();
         assert_eq!(store.get(key), Lookup::Miss);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -773,22 +1101,27 @@ mod tests {
         let mut store = CacheStore::open(&dir, 1).unwrap();
         store.insert(key, b"old".to_vec());
         store.flush().unwrap();
+        drop(store);
         // Same key re-recorded at a newer version, plus a fresh key.
         let mut store = CacheStore::open(&dir, 2).unwrap();
         store.insert(key, b"new".to_vec());
         store.insert(fingerprint(&[b"y"]), b"why".to_vec());
         store.flush().unwrap();
+        drop(store);
 
         let mut store = CacheStore::open(&dir, 2).unwrap();
-        assert_eq!(store.records_loaded, 3);
+        assert_eq!(store.stats().records_loaded, 3);
         let report = store.vacuum().unwrap();
         assert_eq!(report.kept, 2);
         assert!(report.bytes_after < report.bytes_before);
+        assert_eq!(store.get(key), hit(b"new"), "served from the new log");
+        drop(store);
 
         let store = CacheStore::open(&dir, 2).unwrap();
-        assert_eq!(store.get(key), Lookup::Hit(b"new".as_slice()));
+        assert_eq!(store.get(key), hit(b"new"));
         assert_eq!(store.stats().records_loaded, 2);
         assert_eq!(store.stats().stale_entries, 0);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -805,16 +1138,26 @@ mod tests {
         store.insert(fingerprint(&[b"2"]), b"two".to_vec());
         store.flush().unwrap();
 
+        // Verify and stats read a log an open store holds.
         let report = verify(&dir).unwrap();
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(report.valid_records, 2);
         assert_eq!(report.distinct_keys, 2);
         assert_eq!(report.versions.get(&3), Some(&2));
+        let unlocked = stats(&dir, 3).unwrap();
+        assert_eq!(
+            unlocked,
+            CacheStats {
+                pending_entries: 0,
+                ..store.stats()
+            }
+        );
+        drop(store);
 
         // Flip a payload byte: framing intact, checksum broken.
         let log = dir.join(LOG_NAME);
         let mut bytes = std::fs::read(&log).unwrap();
-        let flip = MAGIC.len() + 16 + 4 + 8; // first payload byte
+        let flip = MAGIC.len() + HEADER_LEN; // first payload byte
         bytes[flip] ^= 0xFF;
         std::fs::write(&log, &bytes).unwrap();
         let report = verify(&dir).unwrap();
@@ -838,12 +1181,13 @@ mod tests {
         store.insert(k3, b"three".to_vec());
         store.flush().unwrap();
         let log = store.log_path();
+        drop(store);
 
         // Byte-flip the *middle* record's payload: framing stays
         // intact, the checksum fails, and records 1 and 3 stay valid.
         let mut bytes = std::fs::read(&log).unwrap();
-        let rec1_len = encode_record(k1, 1, b"one").len();
-        let flip = MAGIC.len() + rec1_len + 16 + 4 + 8; // key + version + len prefix
+        let rec1_len = record_len(3) as usize;
+        let flip = MAGIC.len() + rec1_len + HEADER_LEN;
         bytes[flip] ^= 0xFF;
         std::fs::write(&log, &bytes).unwrap();
 
@@ -870,19 +1214,21 @@ mod tests {
 
         // Tolerant open skips the bad record but keeps both neighbours.
         let mut store = CacheStore::open_tolerant(&dir, 1).unwrap();
-        assert_eq!(store.get(k1), Lookup::Hit(b"one".as_slice()));
+        assert_eq!(store.get(k1), hit(b"one"));
         assert_eq!(store.get(k2), Lookup::Miss, "corrupt record not indexed");
-        assert_eq!(store.get(k3), Lookup::Hit(b"three".as_slice()));
+        assert_eq!(store.get(k3), hit(b"three"));
         assert_eq!(store.stats().corrupt_records, 1);
 
         // Vacuum rewrites a clean log; strict open works again.
         let report = store.vacuum().unwrap();
         assert_eq!(report.kept, 2);
         assert_eq!(report.dropped_records, 1);
+        drop(store);
         let store = CacheStore::open(&dir, 1).unwrap();
-        assert_eq!(store.get(k1), Lookup::Hit(b"one".as_slice()));
-        assert_eq!(store.get(k3), Lookup::Hit(b"three".as_slice()));
+        assert_eq!(store.get(k1), hit(b"one"));
+        assert_eq!(store.get(k3), hit(b"three"));
         assert_eq!(store.stats().corrupt_records, 0);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -895,6 +1241,7 @@ mod tests {
         store.insert(k2, b"flip".to_vec());
         store.flush().unwrap();
         let log = store.log_path();
+        drop(store);
         let mut bytes = std::fs::read(&log).unwrap();
         let last = bytes.len() - 9; // inside the last record's payload/checksum
         bytes[last] ^= 0xFF;
@@ -903,10 +1250,11 @@ mod tests {
         // No valid record follows the damage, so this is the ordinary
         // corrupt-tail case: strict open succeeds and flush heals.
         let store = CacheStore::open(&dir, 1).unwrap();
-        assert_eq!(store.get(k1), Lookup::Hit(b"keep".as_slice()));
+        assert_eq!(store.get(k1), hit(b"keep"));
         assert_eq!(store.get(k2), Lookup::Miss);
         assert!(store.stats().corrupt_tail_bytes > 0);
         assert_eq!(store.stats().corrupt_records, 0);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -918,8 +1266,145 @@ mod tests {
         let store = CacheStore::open(&dir, 1).unwrap();
         assert_eq!(store.len(), 0);
         assert!(store.stats().corrupt_tail_bytes > 0);
+        drop(store);
         let report = verify(&dir).unwrap();
         assert!(!report.is_clean());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two handles on one directory: the second open fails fast with a
+    /// typed error instead of later truncating the first one's records
+    /// (each writer flushes from its own idea of the file end).
+    #[test]
+    fn second_writer_is_locked_out_and_loses_nothing() {
+        let dir = temp_dir("two-writers");
+        let mut a = CacheStore::open(&dir, 1).unwrap();
+        match CacheStore::open(&dir, 1) {
+            Err(StoreError::Locked { log }) => assert_eq!(log, a.log_path()),
+            other => panic!("expected Locked, got {other:?}"),
+        }
+        assert!(matches!(
+            CacheStore::open_tolerant(&dir, 1),
+            Err(StoreError::Locked { .. })
+        ));
+        let keys: Vec<Fingerprint> = (0u8..4).map(|i| fingerprint(&[&[i]])).collect();
+        a.insert(keys[0], b"a0".to_vec());
+        a.flush().unwrap();
+        drop(a);
+
+        // Once A is gone, B opens, appends three records and sees A's.
+        let mut b = CacheStore::open(&dir, 1).unwrap();
+        assert_eq!(b.get(keys[0]), hit(b"a0"));
+        for (i, key) in keys.iter().enumerate().skip(1) {
+            b.insert(*key, format!("b{i}").into_bytes());
+        }
+        assert_eq!(b.flush().unwrap(), 3);
+        drop(b);
+
+        let store = CacheStore::open(&dir, 1).unwrap();
+        assert_eq!(store.len(), 4);
+        assert_eq!(store.get(keys[3]), hit(b"b3"));
+        assert!(verify(&dir).unwrap().is_clean());
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A crash can stop the log at any byte. Open never fails or panics,
+    /// keeps exactly the records that were complete, and every surviving
+    /// hit returns the payload that was written — after reopen and after
+    /// vacuum.
+    #[test]
+    fn log_cut_at_every_byte_keeps_exactly_the_complete_records() {
+        let dir = temp_dir("cut");
+        let entries: Vec<(Fingerprint, Vec<u8>)> = (0u8..5)
+            .map(|i| (fingerprint(&[&[i]]), vec![i; usize::from(i) * 3]))
+            .collect();
+        let mut store = CacheStore::open(&dir, 1).unwrap();
+        for (key, payload) in &entries {
+            store.insert(*key, payload.clone());
+        }
+        store.flush().unwrap();
+        let log = store.log_path();
+        drop(store);
+        let full = std::fs::read(&log).unwrap();
+        // Byte offset at which each record ends.
+        let mut ends = Vec::new();
+        let mut end = MAGIC.len();
+        for (_, payload) in &entries {
+            end += record_len(payload.len() as u64) as usize;
+            ends.push(end);
+        }
+        assert_eq!(end, full.len());
+
+        for cut in 0..=full.len() {
+            std::fs::write(&log, &full[..cut]).unwrap();
+            let mut store = CacheStore::open(&dir, 1)
+                .unwrap_or_else(|e| panic!("cut at {cut}: open failed: {e}"));
+            let complete = ends.iter().filter(|&&e| e <= cut).count();
+            let kept_len = if complete == 0 {
+                if cut >= MAGIC.len() {
+                    MAGIC.len()
+                } else {
+                    0
+                }
+            } else {
+                ends[complete - 1]
+            };
+            assert_eq!(
+                store.stats().corrupt_tail_bytes,
+                (cut - kept_len) as u64,
+                "cut at {cut}: only the torn suffix is dropped"
+            );
+            let check = |store: &CacheStore, when: &str| {
+                for (i, (key, payload)) in entries.iter().enumerate() {
+                    let want = if i < complete {
+                        hit(payload)
+                    } else {
+                        Lookup::Miss
+                    };
+                    assert_eq!(store.get(*key), want, "cut at {cut}, {when}, record {i}");
+                }
+            };
+            check(&store, "after reopen");
+            store.vacuum().unwrap();
+            check(&store, "after vacuum");
+            drop(store);
+            let store = CacheStore::open(&dir, 1).unwrap();
+            check(&store, "after vacuum and reopen");
+            assert!(verify(&dir).unwrap().is_clean(), "cut at {cut}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The index trusts the file only as far as each record's header: a
+    /// log that changes under an open store degrades lookups to misses.
+    #[test]
+    fn record_changed_under_an_open_store_reads_as_a_miss() {
+        let dir = temp_dir("changed");
+        let (k1, k2) = (fingerprint(&[b"first"]), fingerprint(&[b"second"]));
+        let mut store = CacheStore::open(&dir, 1).unwrap();
+        store.insert(k1, b"one".to_vec());
+        store.insert(k2, b"two".to_vec());
+        store.flush().unwrap();
+        let log = store.log_path();
+
+        // Overwrite the first record's key bytes in place.
+        let mut bytes = std::fs::read(&log).unwrap();
+        bytes[MAGIC.len()] ^= 0xFF;
+        std::fs::write(&log, &bytes).unwrap();
+        assert_eq!(store.get(k1), Lookup::Miss, "header no longer matches");
+        assert_eq!(store.get(k2), hit(b"two"));
+
+        // An external truncate cuts the second record short.
+        let short = bytes.len() as u64 - record_len(3) + 4;
+        File::options()
+            .write(true)
+            .open(&log)
+            .unwrap()
+            .set_len(short)
+            .unwrap();
+        assert_eq!(store.get(k2), Lookup::Miss, "short read");
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -772,22 +772,17 @@ fn render_span_subtree(
     }
 }
 
-/// Renders `diffcode cache stats` for the store under `dir`. Opens
-/// tolerantly: inspection must work on a damaged log (skipped corrupt
-/// records show up in their own row).
+/// Renders `diffcode cache stats` for the store under `dir`. Reads
+/// tolerantly and without the writer lock: inspection must work on a
+/// damaged log (skipped corrupt records show up in their own row) and
+/// on a cache a running `serve` or `mine` holds.
 ///
 /// # Errors
 ///
-/// I/O failures opening the store.
+/// I/O failures reading the log.
 pub fn render_cache_stats(dir: &Path) -> Result<String, String> {
-    let cache = MiningCache::open_tolerant(
-        dir,
-        &[],
-        &PipelineLimits::DEFAULT,
-        usagegraph::DEFAULT_MAX_DEPTH,
-    )
-    .map_err(|e| format!("opening cache at {}: {e}", dir.display()))?;
-    let stats = cache.store().stats();
+    let stats = cache::stats(dir, crate::mcache::ANALYSIS_VERSION)
+        .map_err(|e| format!("reading cache at {}: {e}", dir.display()))?;
     let mut table = Table::new(["Fact", "Value"]);
     table.row(["directory".to_owned(), dir.display().to_string()]);
     table.row([

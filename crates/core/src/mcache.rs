@@ -224,9 +224,10 @@ impl MiningCache {
     ///
     /// # Errors
     ///
-    /// [`StoreError`] on I/O failures or mid-log corruption (see
-    /// [`CacheStore::open`]); a mining run refuses a damaged cache
-    /// rather than silently dropping part of it.
+    /// [`StoreError`] on I/O failures, mid-log corruption, or while
+    /// another writer holds the directory (see [`CacheStore::open`]); a
+    /// mining run refuses a damaged or busy cache rather than silently
+    /// dropping part of it.
     pub fn open(
         dir: &Path,
         classes: &[&str],
@@ -237,12 +238,11 @@ impl MiningCache {
     }
 
     /// [`MiningCache::open`], but tolerating (and skipping) corrupt
-    /// mid-log records — the `cache stats` / `cache vacuum`
-    /// inspection-and-repair path.
+    /// mid-log records — the `cache vacuum` repair path.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] only.
+    /// [`StoreError::Locked`] and [`StoreError::Io`] only.
     pub fn open_tolerant(
         dir: &Path,
         classes: &[&str],
@@ -325,8 +325,9 @@ pub enum CachedLookup {
 }
 
 /// A shard's window onto a [`MiningCache`]: shared read access to the
-/// loaded index plus a private [`ShardLog`] of this shard's writes —
-/// no locks, no cross-thread mutation on the hot path. A view checks
+/// store (its index, and the log through positional reads) plus a
+/// private [`ShardLog`] of this shard's writes — no locks, no
+/// cross-thread mutation on the hot path. A view checks
 /// its own log before the shared index, so duplicate file pairs
 /// *within* a shard hit on the second encounter even before the log is
 /// absorbed.
@@ -346,21 +347,15 @@ impl MiningCacheView<'_> {
     /// payload degrades to a miss (the entry will be recomputed and
     /// re-recorded).
     pub fn get(&self, key: Fingerprint) -> CachedLookup {
-        let bytes = match self.log.get(key) {
-            Some(bytes) => Some(bytes),
+        let decoded = match self.log.get(key) {
+            Some(bytes) => decode_outcome(bytes),
             None => match self.cache.store.get(key) {
-                Lookup::Hit(bytes) => Some(bytes),
+                Lookup::Hit(bytes) => decode_outcome(&bytes),
                 Lookup::StaleVersion => return CachedLookup::StaleVersion,
-                Lookup::Miss => None,
+                Lookup::Miss => return CachedLookup::Miss,
             },
         };
-        match bytes {
-            Some(bytes) => match decode_outcome(bytes) {
-                Ok(outcome) => CachedLookup::Hit(outcome),
-                Err(_) => CachedLookup::Miss,
-            },
-            None => CachedLookup::Miss,
-        }
+        decoded.map_or(CachedLookup::Miss, CachedLookup::Hit)
     }
 
     /// Records a freshly computed outcome for `key` in this view's log.
@@ -487,10 +482,12 @@ mod tests {
         assert_ne!(cache.change_key("old", "newer"), base);
         assert_ne!(cache.change_key("older", "new"), base);
         assert_ne!(cache.change_key("new", "old"), base, "sides are ordered");
+        drop(cache);
 
         let other_classes =
             MiningCache::open(&dir, &["Cipher", "Mac"], &limits, DEFAULT_MAX_DEPTH).unwrap();
         assert_ne!(other_classes.change_key("old", "new"), base);
+        drop(other_classes);
 
         let tight = PipelineLimits {
             analysis: analysis::AnalysisLimits {
@@ -501,6 +498,7 @@ mod tests {
         };
         let other_limits = MiningCache::open(&dir, &["Cipher"], &tight, DEFAULT_MAX_DEPTH).unwrap();
         assert_ne!(other_limits.change_key("old", "new"), base);
+        drop(other_limits);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -214,6 +214,23 @@ impl DiffCode {
         std::mem::replace(&mut self.trace, TraceSink::disabled())
     }
 
+    /// Number of sources in the analysis memo.
+    pub fn memo_len(&self) -> usize {
+        self.cache.len()
+    }
+
+    /// Empties the analysis memo once it holds more than `cap` sources,
+    /// counting `analyze.memo_resets`. A pipeline that lives as long as
+    /// a server worker calls this between requests, so novel traffic
+    /// cannot grow its memory without bound. A mining run's memo lives
+    /// only as long as the run and is left unbounded.
+    pub fn bound_memo(&mut self, cap: usize) {
+        if self.cache.len() > cap {
+            self.cache = HashMap::new();
+            self.metrics.inc("analyze.memo_resets", 1);
+        }
+    }
+
     /// Parses and analyzes one source file, caching by content. Parsing
     /// runs under the configured front-end budgets; analysis is
     /// unbudgeted — this is the trusted-input entry point used by the

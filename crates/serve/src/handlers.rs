@@ -28,6 +28,11 @@ use diffcode::pipeline::change_fingerprint;
 use diffcode::DiffCode;
 use std::sync::PoisonError;
 
+/// Sources a worker's analysis memo may hold between requests; past
+/// it the memo is emptied. Verdicts do not depend on the memo, and a
+/// hot source costs one re-analysis to come back.
+pub(crate) const WORKER_MEMO_CAP: usize = 4096;
+
 /// Per-worker handler state: the pipeline instance (carries its own
 /// metrics registry, merged into the shared one after each request).
 pub struct WorkerCtx {
@@ -41,6 +46,14 @@ impl WorkerCtx {
         WorkerCtx {
             dc: DiffCode::new(),
         }
+    }
+
+    /// Closes one request's pipeline work: bounds the analysis memo
+    /// (the worker's pipeline outlives every request) and takes the
+    /// metrics the request accumulated.
+    fn finish_request(&mut self) -> obs::MetricsRegistry {
+        self.dc.bound_memo(WORKER_MEMO_CAP);
+        self.dc.take_metrics()
     }
 }
 
@@ -156,7 +169,7 @@ fn mine(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u64) ->
 
     // Fold the pipeline's own counters (cache.hit/miss, mine spans,
     // quarantine breakdown) into the served registry.
-    let request_metrics = ctx.dc.take_metrics();
+    let request_metrics = ctx.finish_request();
     shared.with_registry(|r| {
         r.merge(&request_metrics);
         r.inc("serve.mine_requests", 1);
@@ -355,7 +368,7 @@ fn mine_repo(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u6
         None => process(ctx, None, &mut verdicts),
     }
 
-    let request_metrics = ctx.dc.take_metrics();
+    let request_metrics = ctx.finish_request();
     shared.with_registry(|r| {
         r.merge(&ingest_metrics);
         r.merge(&request_metrics);
@@ -685,5 +698,37 @@ mod tests {
         assert!(parse_max_commits(&body(r#"{"max_commits": -1}"#)).is_err());
         assert!(parse_max_commits(&body(r#"{"max_commits": 2.5}"#)).is_err());
         assert!(parse_max_commits(&body(r#"{"max_commits": "30"}"#)).is_err());
+    }
+
+    /// A worker whose traffic brings more distinct sources than its memo
+    /// cap keeps the memo at or below the cap between requests, and its
+    /// verdicts equal a fresh pipeline's — on first sight and when the
+    /// early sources come back after a reset.
+    #[test]
+    fn worker_memo_stays_bounded_and_verdicts_do_not_change() {
+        let mut ctx = WorkerCtx::new();
+        let pair = |i: usize| {
+            let old = format!(
+                "class A{i} {{ void m() throws Exception {{ \
+                 javax.crypto.Cipher c = javax.crypto.Cipher.getInstance(\"AES\"); }} }}"
+            );
+            let new = old.replace("\"AES\"", "\"AES/GCM/NoPadding\"");
+            (old, new)
+        };
+        let mut resets = 0;
+        // Two new sources per request: the memo passes the cap once.
+        for i in (0..WORKER_MEMO_CAP / 2 + 10).chain(0..10) {
+            let (old, new) = pair(i);
+            let (served, _) = ctx.dc.process_pair_cached(&old, &new, &[], None);
+            resets += ctx.finish_request().counter("analyze.memo_resets");
+            assert!(
+                ctx.dc.memo_len() <= WORKER_MEMO_CAP,
+                "request {i}: memo over the cap"
+            );
+            let (fresh, _) = DiffCode::new().process_pair_cached(&old, &new, &[], None);
+            assert!(matches!(served, ChangeOutcome::Mined(ref t) if !t.is_empty()));
+            assert_eq!(served, fresh, "request {i}: verdict changed");
+        }
+        assert_eq!(resets, 1, "memo resets");
     }
 }

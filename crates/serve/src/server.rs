@@ -3,9 +3,12 @@
 //!
 //! Life of a connection:
 //!
-//! 1. The accept loop (nonblocking, polled so shutdown is observed
-//!    within one tick) counts it `serve.accepted`, then either enqueues
-//!    it or — past the queue watermark — sheds it on the spot with
+//! 1. The accept loop blocks until the listener is readable (`poll(2)`
+//!    on Unix), then accepts every pending connection before waiting
+//!    again, so a connection waits for no timer. The wait's timeout,
+//!    [`ACCEPT_WAIT`], only bounds how late a stop or a signal is
+//!    noticed. Each connection counts `serve.accepted`, then is either
+//!    enqueued or — past the queue watermark — shed on the spot with
 //!    `429` + `Retry-After` (`serve.shed`).
 //! 2. A worker pops it, reads the request under the per-request
 //!    deadline ([`crate::http`]), and dispatches
@@ -38,6 +41,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// The longest the accept loop waits on an idle listener before it
+/// re-checks the stop flag and the shutdown signal — the bound on how
+/// late a stop is noticed.
+pub const ACCEPT_WAIT: Duration = Duration::from_millis(50);
 
 /// Everything `diffcode serve` can tune.
 #[derive(Debug, Clone)]
@@ -300,12 +308,19 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
         .collect();
 
     while !stop.load(Ordering::SeqCst) && !diffcode::shutdown::requested() {
-        match listener.accept() {
-            Ok((stream, _peer)) => admit(&shared, stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
+        readiness::wait(&listener, ACCEPT_WAIT);
+        // Accept everything pending before waiting again.
+        loop {
+            match listener.accept() {
+                Ok((stream, _peer)) => admit(&shared, stream),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                // A failed accept (out of descriptors, say) can leave
+                // the listener readable: back off rather than spin.
+                Err(_) => {
+                    thread::sleep(Duration::from_millis(5));
+                    break;
+                }
             }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }
     drop(listener);
@@ -377,6 +392,61 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
     // Bounded wait: a wedged writer must not stall shutdown forever.
     shared.log.sync(Duration::from_secs(2));
     summary
+}
+
+/// Waiting for the nonblocking listener to have a connection to accept.
+#[cfg(unix)]
+mod readiness {
+    use std::net::TcpListener;
+    use std::os::fd::AsRawFd;
+    use std::time::Duration;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
+    const POLLIN: i16 = 0x1;
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
+
+    // `poll(2)` from libc, which every Unix target links anyway.
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+
+    /// Blocks until `listener` is readable, `timeout` passes, or a
+    /// signal interrupts the wait. Any early return is harmless: the
+    /// caller's accept then reports `WouldBlock`.
+    pub(super) fn wait(listener: &TcpListener, timeout: Duration) {
+        let mut fd = PollFd {
+            fd: listener.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // SAFETY: `fd` is one valid `pollfd` that outlives the call.
+        unsafe {
+            poll(&mut fd, 1, timeout_ms);
+        }
+    }
+}
+
+/// Without `poll(2)`, the accept loop falls back to a short sleep.
+#[cfg(not(unix))]
+mod readiness {
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    pub(super) fn wait(_listener: &TcpListener, _timeout: Duration) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 /// Appends one instant to the bounded capture sink.

@@ -11,6 +11,10 @@ the process:
   3. verdict parity: mining the same change cold then warm returns the
      identical fingerprint/verdict/tuples (the warm one from the
      cache), i.e. a served verdict never depends on cache state;
+  3b. one writer per cache directory: while the server holds it,
+     `diffcode cache verify` on that directory succeeds and a second
+     writer (`diffcode mine --cache-dir` on it) exits non-zero with the
+     lock error;
   4. malformed input gets a clean 4xx, not a dropped connection;
   5. /status reports live accounting and a per-endpoint latency table
      with non-zero percentiles once traffic has flowed;
@@ -198,6 +202,34 @@ def main():
                             f"{cold.get(key)!r} != {warm.get(key)!r}"
                         )
 
+            # 3b. The server holds the cache's writer lock: inspection
+            # still reads the directory, a second writer is refused.
+            verify = subprocess.run(
+                [diffcode, "cache", "verify", "--cache-dir", cache_dir],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            if verify.returncode != 0 or "integrity: OK" not in verify.stdout:
+                errors.append(
+                    f"cache verify on the served directory: exit {verify.returncode}, "
+                    f"stdout {verify.stdout.strip()!r}, stderr {verify.stderr.strip()!r}"
+                )
+            second = subprocess.run(
+                [diffcode, "mine", "--seed", "3", "--projects", "2", "--cache-dir", cache_dir],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            if second.returncode == 0 or "locked by another writer" not in second.stderr:
+                errors.append(
+                    f"second writer on the served cache: expected a non-zero exit with "
+                    f"the lock error, got exit {second.returncode}, "
+                    f"stderr {second.stderr.strip()!r}"
+                )
+            else:
+                print("serve smoke: cache verify reads the held cache; a second writer is locked out")
+
             # 4. /explain journals both verdicts for the fingerprint.
             fingerprint = cold.get("fingerprint", "")
             status, explained = request_json(port, "GET", f"/explain/{fingerprint}")
@@ -321,8 +353,9 @@ def main():
     return cilib.report(
         "SERVE",
         errors,
-        "ok: serve smoke passed (endpoints, warm-cache parity, /status "
-        "percentiles, trace capture, structured access log, SIGTERM drain)",
+        "ok: serve smoke passed (endpoints, warm-cache parity, single-writer "
+        "cache lock, /status percentiles, trace capture, structured access log, "
+        "SIGTERM drain)",
     )
 
 

@@ -117,6 +117,7 @@ fn warm_run_is_identical_and_hits_everything() {
     let mut cache = open_cache(&tmp.0);
     let (cold, cold_reg) = mine_with(&corpus, 4, Some(&mut cache));
     cache.flush().unwrap();
+    drop(cache);
     assert_eq!(
         cold_reg.counter("cache.miss"),
         cold.stats.code_changes as u64,
@@ -155,6 +156,7 @@ fn version_bump_invalidates_every_entry() {
     let old_entries = cache.store().stats().current_entries;
     assert!(old_entries > 0);
     assert_eq!(old_entries, cold.stats.code_changes);
+    drop(cache);
 
     // Same store, next analysis version: every cached entry is stale.
     let mut bumped = MiningCache::open_at_version(
@@ -199,6 +201,7 @@ fn mixed_corpus_only_mines_the_new_work() {
     let mut cache = open_cache(&tmp.0);
     let (first, _) = mine_with(&known, 2, Some(&mut cache));
     cache.flush().unwrap();
+    drop(cache);
 
     let mut combined = known.clone();
     combined.projects.extend(fresh.projects.clone());
@@ -232,6 +235,7 @@ fn editing_one_project_remines_only_its_changes() {
     let mut cache = open_cache(&tmp.0);
     let (_, _) = mine_with(&corpus, 2, Some(&mut cache));
     cache.flush().unwrap();
+    drop(cache);
 
     // Touch every file change of the first project (a trailing comment
     // changes the bytes, hence the key, of each pair).
@@ -271,6 +275,7 @@ fn cached_skips_stay_skipped_and_accounting_balances() {
     let mut cache = open_cache(&tmp.0);
     let (cold, cold_reg) = mine_with(&corpus, 1, Some(&mut cache));
     cache.flush().unwrap();
+    drop(cache);
     assert!(cold.stats.is_balanced());
     assert_eq!(cold.stats.code_changes, 2);
     assert_eq!(cold.stats.mined, 1);
@@ -304,10 +309,12 @@ fn sequential_and_parallel_agree_through_the_cache() {
     let mut seq_cache = open_cache(&tmp_seq.0);
     let (seq, _) = mine_with(&corpus, 1, Some(&mut seq_cache));
     seq_cache.flush().unwrap();
+    drop(seq_cache);
 
     let mut par_cache = open_cache(&tmp_par.0);
     let (par, _) = mine_with(&corpus, 4, Some(&mut par_cache));
     par_cache.flush().unwrap();
+    drop(par_cache);
 
     assert_eq!(run_signature(&seq), run_signature(&par));
 
@@ -319,6 +326,7 @@ fn sequential_and_parallel_agree_through_the_cache() {
         seq_store.store().stats().current_entries,
         par_store.store().stats().current_entries
     );
+    drop((seq_store, par_store));
     let (cross, reg) = mine_with(&corpus, 1, Some(&mut open_cache(&tmp_par.0)));
     assert_eq!(reg.counter("cache.hit"), cross.stats.code_changes as u64);
     assert_eq!(run_signature(&seq), run_signature(&cross));
@@ -331,6 +339,7 @@ fn view_lookup_roundtrips_through_flushed_store() {
     let mut cache = open_cache(&tmp.0);
     let (_, _) = mine_with(&corpus, 1, Some(&mut cache));
     cache.flush().unwrap();
+    drop(cache);
 
     // Re-open and probe one known change directly through a view.
     let cache = open_cache(&tmp.0);

@@ -225,6 +225,59 @@ fn mine_cluster_cold_and_warm_runs_print_identical_output() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Two processes, one cache directory: while this process holds the
+/// cache open for writing, `diffcode mine` on the same directory exits
+/// non-zero with the lock error, and `cache stats` / `cache verify`
+/// still read it.
+#[test]
+fn second_writer_process_is_refused_while_inspection_reads() {
+    let dir = std::env::temp_dir().join(format!("diffcode-cli-lock-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().unwrap();
+    let mine = [
+        "mine",
+        "--seed",
+        "3",
+        "--projects",
+        "2",
+        "--cache-dir",
+        dir_arg,
+    ];
+    assert!(diffcode(&mine).status.success(), "priming run");
+    let held = diffcode::MiningCache::open(
+        &dir,
+        &[],
+        &diffcode::PipelineLimits::DEFAULT,
+        usagegraph::DEFAULT_MAX_DEPTH,
+    )
+    .unwrap();
+
+    let out = diffcode(&mine);
+    assert!(!out.status.success(), "a second writer must not run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("locked by another writer"), "{stderr}");
+    let vacuum = diffcode(&["cache", "vacuum", "--cache-dir", dir_arg]);
+    assert!(
+        !vacuum.status.success(),
+        "vacuum writes, so it is refused too"
+    );
+    for action in ["stats", "verify"] {
+        let out = diffcode(&["cache", action, "--cache-dir", dir_arg]);
+        assert!(
+            out.status.success(),
+            "cache {action}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    drop(held);
+    assert!(
+        diffcode(&mine).status.success(),
+        "the lock left with its holder"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn check_materialized_generated_project() {
     // Generated corpus -> real files on disk -> the CLI checks them.

@@ -444,6 +444,89 @@ fn shutdown_drains_and_flushes_the_cache_log() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// While a server holds its cache directory, a second writer is refused
+/// with the typed lock error instead of racing the server's appends;
+/// read-only inspection still works, and the lock goes with the server.
+#[test]
+fn served_cache_has_one_writer_and_stays_inspectable() {
+    let dir = std::env::temp_dir().join(format!("serve_lock_cache_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = spawn(ServeConfig {
+        cache_dir: Some(dir.clone()),
+        ..test_config(2_000)
+    });
+    let (old, new) = figure2_pair();
+    let (status, _, _) = request(handle.addr(), "POST", "/mine", &[], &mine_body(old, new));
+    assert_eq!(status, 200);
+
+    let open = || {
+        diffcode::MiningCache::open(
+            &dir,
+            &[],
+            &diffcode::PipelineLimits::DEFAULT,
+            usagegraph::DEFAULT_MAX_DEPTH,
+        )
+    };
+    match open() {
+        Err(err @ cache::StoreError::Locked { .. }) => {
+            assert!(err.to_string().contains("one writer at a time"), "{err}");
+        }
+        other => panic!("a second writer must be locked out, got {other:?}"),
+    }
+    let (report, clean) = diffcode::cli::render_cache_verify(&dir).expect("verify reads");
+    assert!(clean, "{report}");
+    let stats = diffcode::cli::render_cache_stats(&dir).expect("stats reads");
+    assert!(stats.contains("entries (current version)"), "{stats}");
+
+    settle_and_shutdown(handle);
+    let cache = open().expect("the lock is released with the server");
+    assert!(cache.store().stats().current_entries >= 1);
+    drop(cache);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Readiness-driven accept: answers wait for no timer, stops stay prompt
+// ---------------------------------------------------------------------
+
+/// An idle server notices a stop within a few accept waits: the
+/// readiness wait's timeout is what bounds stop latency.
+#[test]
+fn idle_shutdown_returns_within_a_few_accept_waits() {
+    let handle = spawn(test_config(1_000));
+    std::thread::sleep(serve::server::ACCEPT_WAIT * 3);
+    let start = Instant::now();
+    settle_and_shutdown(handle);
+    let took = start.elapsed();
+    assert!(
+        took < serve::server::ACCEPT_WAIT * 10,
+        "idle shutdown took {took:?}"
+    );
+}
+
+/// Sequential round trips cost what the handler costs: a new connection
+/// must not wait for a timer tick in the accept loop.
+#[test]
+fn sequential_healthz_round_trips_wait_for_no_timer() {
+    let handle = spawn(test_config(1_000));
+    let addr = handle.addr();
+    let mut took: Vec<Duration> = (0..100)
+        .map(|_| {
+            let start = Instant::now();
+            let (status, _, body) = request(addr, "GET", "/healthz", &[], b"");
+            assert_eq!((status, body.as_slice()), (200, b"ok\n".as_slice()));
+            start.elapsed()
+        })
+        .collect();
+    settle_and_shutdown(handle);
+    took.sort();
+    let median = took[took.len() / 2];
+    assert!(
+        median < Duration::from_micros(2_500),
+        "median /healthz round trip {median:?}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Observability: access-log partition, /status percentiles, /trace
 // ---------------------------------------------------------------------
